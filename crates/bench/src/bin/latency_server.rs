@@ -40,13 +40,14 @@
 //!   `sj_core::sync::OrderedMutex` (DESIGN.md §15) versus a raw
 //!   `std::sync::Mutex`, min-of-trials so scheduler noise cannot
 //!   inflate either side;
-//! - **kernel speedups** — p50/p99 estimate latency of the SoA kernel
-//!   path (`sj_histogram::kernel`, DESIGN.md §16) with the views built
-//!   once and reused, versus the retained scalar reference loops
-//!   (`estimate_scalar`), per histogram family and dataset scale, plus
-//!   build throughput through the `BinGrid`-hoisted binning kernels;
-//!   every timed kernel estimate is asserted bit-identical to its
-//!   scalar twin before either side is clocked.
+//! - **kernel speedups** — p50/p99 latency of the trait-path estimate
+//!   (`SpatialHistogram::estimate_join`, served from each histogram's
+//!   resident SoA view, DESIGN.md §16) versus the retained scalar
+//!   reference loops (`estimate_scalar`), per histogram family and
+//!   dataset scale, plus build throughput through the `BinGrid`-hoisted
+//!   binning kernels; the trait path is asserted bit-identical to its
+//!   scalar twin, on the decoding and on a cached call, before either
+//!   side is clocked.
 //!
 //! Five acceptance gates asserted by CI: warm-server p50 must sit at
 //! least 5× below cold-CLI p50 (`meets_5x_floor`) — residency is the
@@ -71,7 +72,10 @@
 
 use sj_datagen::presets;
 use sj_geo::{Extent, Rect};
-use sj_histogram::{build_histogram, build_histogram_sharded, Grid, HistogramDelta, HistogramKind};
+use sj_histogram::{
+    build_histogram, build_histogram_sharded, Grid, HistogramDelta, HistogramKind,
+    SelectivityEstimate, SpatialHistogram,
+};
 use sj_server::{wire, Client, Frame, Opcode};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -240,9 +244,9 @@ struct SyncLayerStats {
 }
 
 /// One family × scale cell of the kernel-vs-scalar estimate comparison
-/// (DESIGN.md §16): the retained scalar reference loop versus the SoA
-/// kernel path with the views built once and reused — the way a warm
-/// server holds statistics resident.
+/// (DESIGN.md §16): the retained scalar reference loop versus the
+/// trait-path estimate over the histograms' resident views — the path a
+/// warm server runs.
 #[derive(serde::Serialize)]
 struct KernelEstimateStats {
     family: String,
@@ -390,13 +394,49 @@ fn kernel_build_stats<H>(
     }
 }
 
+/// Times one family's trait-path estimate — served from the two
+/// histograms' resident views — against its scalar reference loop. The
+/// trait path is asserted bit-identical to the scalar loop on the call
+/// that decodes the views and on a cached call before either side is
+/// clocked: a fast wrong kernel must fail here, not report a speedup.
+fn kernel_estimate_stats<H: SpatialHistogram>(
+    family: &str,
+    scale: f64,
+    (h1, h2): (&H, &H),
+    scalar: impl Fn() -> SelectivityEstimate,
+    occupied: impl Fn(&H) -> usize,
+) -> KernelEstimateStats {
+    let expected = scalar();
+    for call in ["decoding", "cached"] {
+        let got = h1.estimate_join(h2).expect("grids match");
+        assert_eq!(
+            got.selectivity.to_bits(),
+            expected.selectivity.to_bits(),
+            "{family} {call} trait-path estimate must be bit-identical to the scalar loop"
+        );
+    }
+    let scalar = time_kernel_us(|| {
+        std::hint::black_box(scalar());
+    });
+    let kernel = time_kernel_us(|| {
+        std::hint::black_box(h1.estimate_join(h2).expect("grids match"));
+    });
+    KernelEstimateStats {
+        family: family.to_string(),
+        scale,
+        cells: h1.grid().num_cells(),
+        occupied_left: occupied(h1),
+        occupied_right: occupied(h2),
+        speedup_p50: scalar.p50_us / kernel.p50_us,
+        scalar,
+        kernel,
+    }
+}
+
 /// Measures the SoA-kernel estimate path against the retained scalar
 /// reference loops (DESIGN.md §16), per histogram family and dataset
-/// scale, plus build throughput. Each kernel result is asserted
-/// bit-identical to its scalar twin before either side is clocked — a
-/// fast wrong kernel must fail here, not report a speedup.
+/// scale, plus build throughput.
 fn kernels(grid: Grid) -> KernelStats {
-    use sj_histogram::kernel::{GhBasicView, GhView, PhView};
     use sj_histogram::{GhBasicHistogram, GhHistogram, PhHistogram};
     let mut estimate = Vec::new();
     let mut build = Vec::new();
@@ -405,59 +445,25 @@ fn kernels(grid: Grid) -> KernelStats {
         let b = presets::sura(scale).rects;
 
         let (h1, h2) = (PhHistogram::build(grid, &a), PhHistogram::build(grid, &b));
-        let (v1, v2) = (PhView::new(&h1), PhView::new(&h2));
-        let scalar_est = h1.estimate_scalar(&h2).expect("grids match");
-        let kernel_est = v1.estimate(&v2).expect("grids match");
-        assert_eq!(
-            kernel_est.selectivity.to_bits(),
-            scalar_est.selectivity.to_bits(),
-            "PH kernel estimate must be bit-identical to the scalar loop"
-        );
-        let scalar = time_kernel_us(|| {
-            std::hint::black_box(h1.estimate_scalar(&h2).expect("grids match"));
-        });
-        let kernel = time_kernel_us(|| {
-            std::hint::black_box(v1.estimate(&v2).expect("grids match"));
-        });
-        estimate.push(KernelEstimateStats {
-            family: "ph".to_string(),
+        estimate.push(kernel_estimate_stats(
+            "ph",
             scale,
-            cells: grid.num_cells(),
-            occupied_left: v1.occupied_cells(),
-            occupied_right: v2.occupied_cells(),
-            speedup_p50: scalar.p50_us / kernel.p50_us,
-            scalar,
-            kernel,
-        });
+            (&h1, &h2),
+            || h1.estimate_scalar(&h2).expect("grids match"),
+            PhHistogram::occupied_cells,
+        ));
         build.push(kernel_build_stats("ph", scale, &a, || {
             PhHistogram::build(grid, &a)
         }));
 
         let (g1, g2) = (GhHistogram::build(grid, &a), GhHistogram::build(grid, &b));
-        let (w1, w2) = (GhView::new(&g1), GhView::new(&g2));
-        let scalar_est = g1.estimate_scalar(&g2).expect("grids match");
-        let kernel_est = w1.estimate(&w2).expect("grids match");
-        assert_eq!(
-            kernel_est.selectivity.to_bits(),
-            scalar_est.selectivity.to_bits(),
-            "GH kernel estimate must be bit-identical to the scalar loop"
-        );
-        let scalar = time_kernel_us(|| {
-            std::hint::black_box(g1.estimate_scalar(&g2).expect("grids match"));
-        });
-        let kernel = time_kernel_us(|| {
-            std::hint::black_box(w1.estimate(&w2).expect("grids match"));
-        });
-        estimate.push(KernelEstimateStats {
-            family: "gh".to_string(),
+        estimate.push(kernel_estimate_stats(
+            "gh",
             scale,
-            cells: grid.num_cells(),
-            occupied_left: w1.occupied_cells(),
-            occupied_right: w2.occupied_cells(),
-            speedup_p50: scalar.p50_us / kernel.p50_us,
-            scalar,
-            kernel,
-        });
+            (&g1, &g2),
+            || g1.estimate_scalar(&g2).expect("grids match"),
+            GhHistogram::occupied_cells,
+        ));
         build.push(kernel_build_stats("gh", scale, &a, || {
             GhHistogram::build(grid, &a)
         }));
@@ -466,30 +472,13 @@ fn kernels(grid: Grid) -> KernelStats {
             GhBasicHistogram::build(grid, &a),
             GhBasicHistogram::build(grid, &b),
         );
-        let (u1, u2) = (GhBasicView::new(&k1), GhBasicView::new(&k2));
-        let scalar_est = k1.estimate_scalar(&k2).expect("grids match");
-        let kernel_est = u1.estimate(&u2).expect("grids match");
-        assert_eq!(
-            kernel_est.selectivity.to_bits(),
-            scalar_est.selectivity.to_bits(),
-            "basic-GH kernel estimate must be bit-identical to the scalar loop"
-        );
-        let scalar = time_kernel_us(|| {
-            std::hint::black_box(k1.estimate_scalar(&k2).expect("grids match"));
-        });
-        let kernel = time_kernel_us(|| {
-            std::hint::black_box(u1.estimate(&u2).expect("grids match"));
-        });
-        estimate.push(KernelEstimateStats {
-            family: "gh_basic".to_string(),
+        estimate.push(kernel_estimate_stats(
+            "gh_basic",
             scale,
-            cells: grid.num_cells(),
-            occupied_left: u1.occupied_cells(),
-            occupied_right: u2.occupied_cells(),
-            speedup_p50: scalar.p50_us / kernel.p50_us,
-            scalar,
-            kernel,
-        });
+            (&k1, &k2),
+            || k1.estimate_scalar(&k2).expect("grids match"),
+            GhBasicHistogram::occupied_cells,
+        ));
         build.push(kernel_build_stats("gh_basic", scale, &a, || {
             GhBasicHistogram::build(grid, &a)
         }));
@@ -952,7 +941,7 @@ fn main() {
         }
     );
 
-    // --- kernel estimate/build: SoA views vs scalar loops ------------
+    // --- kernel estimate/build: resident views vs scalar loops -------
     let kernel_stats = kernels(grid);
     for e in &kernel_stats.estimate {
         println!(

@@ -21,6 +21,7 @@
 
 use crate::band::RowBanded;
 use crate::grid::Grid;
+use crate::kernel::{GhView, ViewCache};
 use crate::mass::Mass;
 use crate::{CorruptSection, HistogramError, SelectivityEstimate};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -30,11 +31,37 @@ const MAGIC_BASIC: u32 = 0x534a_4742; // "SJGB"
 const MAGIC_REVISED: u32 = 0x534a_4748; // "SJGH"
 
 /// Basic Geometric Histogram: per-cell integer counts (paper Eq. 4).
+///
+/// Like every gridded family, it estimates over a resident view decoded
+/// on the first estimate and reused until a merge or delta changes the
+/// counts (DESIGN.md §16):
+///
+/// ```
+/// use sj_geo::{Extent, Rect};
+/// use sj_histogram::{GhBasicHistogram, Grid, SpatialHistogram};
+///
+/// let grid = Grid::new(3, Extent::unit())?;
+/// let a = vec![Rect::new(0.1, 0.1, 0.6, 0.6)];
+/// let b = vec![Rect::new(0.4, 0.4, 0.9, 0.9)];
+/// let (ha, hb) = (
+///     GhBasicHistogram::build(grid, &a),
+///     GhBasicHistogram::build(grid, &b),
+/// );
+/// let ip = ha.intersection_points(&hb)?;
+/// assert!((ip - 4.0).abs() < 1e-12, "one resolved pair = 4 points");
+/// // Decoding call and cached call agree with the scalar loop bit for bit.
+/// let scalar = ha.estimate_scalar(&hb)?;
+/// for _ in 0..2 {
+///     let est = ha.estimate_join(&hb)?;
+///     assert_eq!(est.selectivity.to_bits(), scalar.selectivity.to_bits());
+/// }
+/// # Ok::<(), sj_histogram::HistogramError>(())
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GhBasicHistogram {
     grid: Grid,
-    // `pub(crate)` so `kernel::GhBasicView` can decode the counts into
-    // SoA slices.
+    // `pub(crate)` so the resident view can decode the counts into
+    // records.
     pub(crate) n: u64,
     /// Corners of MBRs falling in each cell.
     pub(crate) c: Vec<u32>,
@@ -44,6 +71,8 @@ pub struct GhBasicHistogram {
     pub(crate) v: Vec<u32>,
     /// Horizontal MBR edges passing through each cell.
     pub(crate) h: Vec<u32>,
+    /// The resident estimate view; cleared by every `&mut` path.
+    view: ViewCache<GhView>,
 }
 
 impl GhBasicHistogram {
@@ -75,15 +104,25 @@ impl GhBasicHistogram {
 
     /// Estimated number of intersection points against `other` (Eq. 4).
     ///
-    /// Dispatches through the SoA kernel layer
-    /// ([`crate::kernel::GhBasicView`], DESIGN.md §16); bit-identical to
-    /// [`Self::intersection_points_scalar`].
+    /// Runs over both histograms' resident views (DESIGN.md §16);
+    /// bit-identical to [`Self::intersection_points_scalar`].
     ///
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
     pub fn intersection_points(&self, other: &Self) -> Result<f64, HistogramError> {
-        crate::kernel::GhBasicView::new(self)
-            .intersection_points(&crate::kernel::GhBasicView::new(other))
+        self.view().intersection_points(other.view())
+    }
+
+    /// The resident view, decoded on first use.
+    fn view(&self) -> &GhView {
+        self.view.get_or_init(|| GhView::basic(self))
+    }
+
+    /// Number of cells the estimate reads: those with any non-zero
+    /// count.
+    #[must_use]
+    pub fn occupied_cells(&self) -> usize {
+        self.view().occupied_cells()
     }
 
     /// The retained scalar reference loop of
@@ -118,14 +157,7 @@ impl GhBasicHistogram {
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
     pub fn estimate_scalar(&self, other: &Self) -> Result<SelectivityEstimate, HistogramError> {
         let ip = self.intersection_points_scalar(other)?;
-        #[allow(clippy::cast_precision_loss)]
-        let denom = (self.n as f64) * (other.n as f64);
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw,
-            self.dataset_len(),
-            other.dataset_len(),
-        ))
+        Ok(crate::kernel::ip_estimate(ip, self.n, other.n))
     }
 
     /// Estimates the join selectivity: intersection points / 4 / (N₁·N₂).
@@ -133,15 +165,7 @@ impl GhBasicHistogram {
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
     pub fn estimate(&self, other: &Self) -> Result<SelectivityEstimate, HistogramError> {
-        let ip = self.intersection_points(other)?;
-        #[allow(clippy::cast_precision_loss)]
-        let denom = (self.n as f64) * (other.n as f64);
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw,
-            self.dataset_len(),
-            other.dataset_len(),
-        ))
+        self.view().estimate(other.view())
     }
 
     /// Serializes the histogram file.
@@ -201,6 +225,7 @@ impl GhBasicHistogram {
             i,
             v,
             h,
+            view: ViewCache::default(),
         })
     }
 
@@ -259,10 +284,12 @@ impl RowBanded for GhBasicHistogram {
             i,
             v,
             h,
+            view: ViewCache::default(),
         }
     }
 
     fn merge_same_grid(&mut self, other: &Self) {
+        self.view.clear();
         self.n += other.n;
         for (into, from) in [
             (&mut self.c, &other.c),
@@ -303,11 +330,13 @@ impl crate::diff::StatInspect for GhBasicHistogram {
 
 impl crate::delta::StatInspectMut for GhBasicHistogram {
     fn scalar_stats_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+        self.view.clear();
         vec![("n", &mut self.n)]
     }
 
     fn cell_stats_mut(&mut self) -> Vec<crate::delta::StatArrayMut<'_>> {
         use crate::delta::{CellValuesMut, StatArrayMut};
+        self.view.clear();
         [
             ("c", &mut self.c),
             ("i", &mut self.i),
@@ -328,7 +357,7 @@ impl crate::delta::StatInspectMut for GhBasicHistogram {
 ///
 /// ```
 /// use sj_geo::{Extent, Rect};
-/// use sj_histogram::{GhHistogram, Grid};
+/// use sj_histogram::{GhHistogram, Grid, SpatialHistogram};
 ///
 /// let grid = Grid::new(5, Extent::unit())?;
 /// let streams = vec![Rect::new(0.10, 0.10, 0.30, 0.12)];
@@ -337,13 +366,18 @@ impl crate::delta::StatInspectMut for GhBasicHistogram {
 /// let hr = GhHistogram::build(grid, &roads);
 /// let est = hs.estimate(&hr)?;
 /// assert!(est.pairs > 0.9 && est.pairs < 1.1, "one crossing pair");
+///
+/// // The first estimate decoded both resident views (DESIGN.md §16);
+/// // later ones reuse them, bit-identical to the scalar loop.
+/// let again = hs.estimate_join(&hr)?;
+/// assert_eq!(again.pairs.to_bits(), hs.estimate_scalar(&hr)?.pairs.to_bits());
 /// # Ok::<(), sj_histogram::HistogramError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GhHistogram {
     grid: Grid,
-    // `pub(crate)` so `kernel::GhView` can decode the masses into SoA
-    // slices.
+    // `pub(crate)` so the resident view can decode the masses into
+    // records.
     pub(crate) n: u64,
     /// `C(i,j)`: number of MBR corner points falling in the cell.
     pub(crate) c: Vec<u32>,
@@ -353,6 +387,8 @@ pub struct GhHistogram {
     pub(crate) h: Vec<Mass>,
     /// `V(i,j)`: Σ (length of vertical edge ∩ cell) / cell height.
     pub(crate) v: Vec<Mass>,
+    /// The resident estimate view; cleared by every `&mut` path.
+    view: ViewCache<GhView>,
 }
 
 impl GhHistogram {
@@ -386,14 +422,18 @@ impl GhHistogram {
     /// Estimated number of intersection points against `other` (Eq. 5):
     /// `IP = Σ C₁·O₂ + C₂·O₁ + H₁·V₂ + H₂·V₁`.
     ///
-    /// Dispatches through the SoA kernel layer
-    /// ([`crate::kernel::GhView`], DESIGN.md §16); bit-identical to
-    /// [`Self::intersection_points_scalar`].
+    /// Runs over both histograms' resident views (DESIGN.md §16);
+    /// bit-identical to [`Self::intersection_points_scalar`].
     ///
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
     pub fn intersection_points(&self, other: &Self) -> Result<f64, HistogramError> {
-        crate::kernel::GhView::new(self).intersection_points(&crate::kernel::GhView::new(other))
+        self.view().intersection_points(other.view())
+    }
+
+    /// The resident view, decoded on first use.
+    fn view(&self) -> &GhView {
+        self.view.get_or_init(|| GhView::revised(self))
     }
 
     /// The retained scalar reference loop of
@@ -429,14 +469,7 @@ impl GhHistogram {
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
     pub fn estimate_scalar(&self, other: &Self) -> Result<SelectivityEstimate, HistogramError> {
         let ip = self.intersection_points_scalar(other)?;
-        #[allow(clippy::cast_precision_loss)]
-        let denom = (self.n as f64) * (other.n as f64);
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw,
-            self.dataset_len(),
-            other.dataset_len(),
-        ))
+        Ok(crate::kernel::ip_estimate(ip, self.n, other.n))
     }
 
     /// Estimates the join selectivity: `IP / 4 / (N₁·N₂)`.
@@ -444,15 +477,7 @@ impl GhHistogram {
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
     pub fn estimate(&self, other: &Self) -> Result<SelectivityEstimate, HistogramError> {
-        let ip = self.intersection_points(other)?;
-        #[allow(clippy::cast_precision_loss)]
-        let denom = (self.n as f64) * (other.n as f64);
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw,
-            self.dataset_len(),
-            other.dataset_len(),
-        ))
+        self.view().estimate(other.view())
     }
 
     /// **Extension beyond the paper** (its introduction's motivating
@@ -620,6 +645,7 @@ impl GhHistogram {
             o,
             h,
             v,
+            view: ViewCache::default(),
         })
     }
 
@@ -687,10 +713,12 @@ impl RowBanded for GhHistogram {
             o,
             h,
             v,
+            view: ViewCache::default(),
         }
     }
 
     fn merge_same_grid(&mut self, other: &Self) {
+        self.view.clear();
         self.n += other.n;
         for (a, b) in self.c.iter_mut().zip(&other.c) {
             *a += *b;
@@ -735,11 +763,13 @@ impl crate::diff::StatInspect for GhHistogram {
 
 impl crate::delta::StatInspectMut for GhHistogram {
     fn scalar_stats_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+        self.view.clear();
         vec![("n", &mut self.n)]
     }
 
     fn cell_stats_mut(&mut self) -> Vec<crate::delta::StatArrayMut<'_>> {
         use crate::delta::{CellValuesMut, StatArrayMut};
+        self.view.clear();
         vec![
             StatArrayMut {
                 name: "c",
@@ -1482,6 +1512,7 @@ impl GhHistogram {
             o,
             h,
             v,
+            view: ViewCache::default(),
         })
     }
 }

@@ -1,20 +1,23 @@
 //! Cache-conscious SoA estimate/build kernels (DESIGN.md §16).
 //!
-//! The histogram structs store their per-cell statistics as one vector
-//! per statistic already, but the hot estimate loops still pay a
-//! fixed-point decode (`Mass::to_f64`) and an average derivation per
-//! cell *per estimate*. This module provides flat structure-of-arrays
-//! **views** — one contiguous `f64` slice per statistic, decoded once —
-//! plus a per-row occupancy bitmap ([`RowMask`]) so the Eq. 4/5
-//! corner×overlap and edge×edge products run over contiguous slices and
-//! skip empty-cell runs in 64-cell strides.
-//!
-//! Three views cover the gridded families:
+//! The histogram structs store their per-cell statistics as one dense
+//! vector per statistic, in the exact fixed-point form merges and
+//! persistence need. Estimation wants something else: the `f64` values
+//! of the occupied cells only, contiguous, with Table 1's averages
+//! already derived. This module provides that **resident view** — one
+//! per histogram, decoded lazily on the first estimate and held in the
+//! histogram's [`ViewCache`] until a `&mut` path clears it:
 //!
 //! * [`PhView`] — PH `Cont`/`Isect` groups (Table 1) with the averages
-//!   `Xavg`/`Yavg` pre-derived, plus the scalar `AvgSpan` statistics;
-//! * [`GhView`] — revised GH `{C, O, H, V}` masses (Table 2, Eq. 5);
-//! * [`GhBasicView`] — basic GH `{C, I, V, H}` counts (Eq. 4).
+//!   `Xavg`/`Yavg` pre-derived, plus the scalar `AvgSpan` statistic;
+//! * [`GhView`] — the four-statistic GH records, revised `{C, O, H, V}`
+//!   (Table 2, Eq. 5) or basic `{C, I, V, H}` (Eq. 4).
+//!
+//! Both store only occupied cells, as one row-major `[f64; K]` record
+//! per cell in ascending flat-index order ([`CellRecords`]); a record is
+//! found by rank over a per-row occupancy bitmap ([`RowMask`]). The
+//! Eq. 3/4/5 loops AND the two operands' bitmaps word by word, so empty
+//! 64-cell runs are skipped without touching any record.
 //!
 //! # Bit-identity with the scalar paths
 //!
@@ -26,8 +29,8 @@
 //! the only cells skipped are those whose contribution is exactly
 //! `+0.0` (adding `+0.0` to the non-negative accumulator cannot change
 //! its bits). DESIGN.md §16 spells the argument out; the
-//! `kernel_agreement` integration test pins it across the verify-merge
-//! scenario matrix.
+//! `kernel_agreement` and `resident_views` integration tests pin it on
+//! both the decoding and the cached call.
 //!
 //! The build side is served by the crate-internal `BinGrid`, a
 //! flattened view of the grid geometry (hoisted cell sizes, row-base
@@ -41,9 +44,10 @@ use crate::grid::Grid;
 use crate::mass::Mass;
 use crate::{GhBasicHistogram, GhHistogram, HistogramError, PhHistogram, SelectivityEstimate};
 use sj_geo::{HEdge, Rect, VEdge};
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------
-// Occupancy bitmaps
+// Occupancy bitmaps and rank-addressed records
 // ---------------------------------------------------------------------
 
 /// Per-row occupancy bitmap over the grid cells of a view.
@@ -51,74 +55,168 @@ use sj_geo::{HEdge, Rect, VEdge};
 /// Each grid row is encoded as `ceil(cols / 64)` little-endian `u64`
 /// words (bit `c % 64` of word `c / 64` covers column `c`); rows are
 /// concatenated in ascending order, so for grids of 64+ columns the
-/// encoding coincides with a flat row-major bitmap. The estimate
-/// kernels AND the two operands' masks word-by-word: a zero word skips
-/// 64 cells at once, a full word runs a branch-free contiguous pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowMask {
-    cols: usize,
+/// encoding coincides with a flat row-major bitmap. Word order and bit
+/// order both follow flat-index order, which is what makes a cell's
+/// rank among the set bits its record index.
+pub(crate) struct RowMask {
     words_per_row: usize,
     words: Vec<u64>,
 }
 
 impl RowMask {
     /// An all-empty mask for a `rows × cols` grid.
-    #[must_use]
-    pub fn empty(rows: usize, cols: usize) -> Self {
+    pub(crate) fn empty(rows: usize, cols: usize) -> Self {
         let words_per_row = cols.div_ceil(64);
         Self {
-            cols,
             words_per_row,
             words: vec![0u64; rows * words_per_row],
         }
     }
 
     /// Marks cell `(row, col)` occupied.
-    pub fn set(&mut self, row: usize, col: usize) {
+    pub(crate) fn set(&mut self, row: usize, col: usize) {
         self.words[row * self.words_per_row + col / 64] |= 1u64 << (col % 64);
     }
 
-    /// `true` when cell `(row, col)` is occupied.
-    #[must_use]
-    pub fn is_set(&self, row: usize, col: usize) -> bool {
-        self.words[row * self.words_per_row + col / 64] & (1u64 << (col % 64)) != 0
-    }
-
-    /// Number of occupied cells.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| ix(w.count_ones())).sum()
+    /// Set bits before each word: the rank of the word's first set bit.
+    fn rank_prefix(&self) -> Vec<u32> {
+        let mut before = 0u32;
+        self.words
+            .iter()
+            .map(|w| {
+                let rank = before;
+                before += w.count_ones();
+                rank
+            })
+            .collect()
     }
 }
 
-/// Calls `f` with the flat index of every cell occupied in **both**
-/// masks, in ascending flat-index order.
+/// The occupied cells of one histogram, compactly: one `[f64; K]`
+/// record per occupied cell in ascending flat-index order, addressed by
+/// rank — `prefix[w] + popcount(word & below)` for the bit below-masked
+/// in mask word `w`.
 ///
-/// This is the shared sweep of all three estimate kernels: zero words
-/// (empty 64-cell runs) are skipped without touching the statistic
-/// slices, and all-ones words take a contiguous branch-free inner loop.
-fn for_each_joint(a: &RowMask, b: &RowMask, mut f: impl FnMut(usize)) {
-    debug_assert_eq!(a.cols, b.cols);
-    debug_assert_eq!(a.words.len(), b.words.len());
-    let wpr = a.words_per_row.max(1);
-    for (w_idx, (wa, wb)) in a.words.iter().zip(&b.words).enumerate() {
-        let mut bits = wa & wb;
-        if bits == 0 {
-            continue;
-        }
-        let row = w_idx / wpr;
-        let word_in_row = w_idx % wpr;
-        let base = row * a.cols + word_in_row * 64;
-        if bits == u64::MAX {
-            for idx in base..base + 64 {
-                f(idx);
+/// Memory is `8·K` bytes per occupied cell plus 12 bytes per mask word
+/// (the `u64` bitmap and its `u32` rank prefix); empty cells cost only
+/// their bitmap bit.
+pub(crate) struct CellRecords<const K: usize> {
+    occ: RowMask,
+    prefix: Vec<u32>,
+    records: Vec<[f64; K]>,
+}
+
+impl<const K: usize> CellRecords<K> {
+    /// Decodes the `rows × cols` cells in ascending flat-index order,
+    /// keeping the record of every cell with a non-zero value.
+    fn decode(rows: usize, cols: usize, mut cell: impl FnMut(usize) -> [f64; K]) -> Self {
+        let mut occ = RowMask::empty(rows, cols);
+        let mut records = Vec::new();
+        for idx in 0..rows * cols {
+            let record = cell(idx);
+            if record.iter().any(|&x| x != 0.0) {
+                occ.set(idx / cols, idx % cols);
+                records.push(record);
             }
-            continue;
         }
-        while bits != 0 {
-            f(base + ix(bits.trailing_zeros()));
-            bits &= bits - 1;
+        records.shrink_to_fit();
+        let prefix = occ.rank_prefix();
+        Self {
+            occ,
+            prefix,
+            records,
         }
+    }
+
+    /// Number of occupied cells.
+    fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Calls `f` with both sides' records of every cell occupied in
+    /// **both**, in ascending flat-index order.
+    ///
+    /// This is the shared sweep of all estimate kernels: zero words
+    /// (empty 64-cell runs) are skipped without touching any record,
+    /// and a word full on both sides pairs 64 consecutive records.
+    fn for_each_joint(&self, other: &Self, mut f: impl FnMut(&[f64; K], &[f64; K])) {
+        debug_assert_eq!(self.occ.words_per_row, other.occ.words_per_row);
+        debug_assert_eq!(self.occ.words.len(), other.occ.words.len());
+        let words = self.occ.words.iter().zip(&other.occ.words);
+        for (w, (&wa, &wb)) in words.enumerate() {
+            let mut bits = wa & wb;
+            if bits == 0 {
+                continue;
+            }
+            let (ra, rb) = (ix(self.prefix[w]), ix(other.prefix[w]));
+            if bits == u64::MAX {
+                let run_a = &self.records[ra..ra + 64];
+                let run_b = &other.records[rb..rb + 64];
+                for (a, b) in run_a.iter().zip(run_b) {
+                    f(a, b);
+                }
+                continue;
+            }
+            while bits != 0 {
+                let below = (bits & bits.wrapping_neg()) - 1;
+                let a = &self.records[ra + ix((wa & below).count_ones())];
+                let b = &other.records[rb + ix((wb & below).count_ones())];
+                f(a, b);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The per-histogram cache
+// ---------------------------------------------------------------------
+
+/// A histogram's resident view, decoded lazily on the first estimate
+/// and then shared by every later one (concurrent first estimates race
+/// benignly: one decodes, the rest wait for it).
+///
+/// The cache is invisible to the rest of the system: equality ignores
+/// it, a clone starts empty, `Debug` prints no contents, and
+/// persistence never reads it. Its one rule is that **every `&mut`
+/// path of the owning histogram calls [`Self::clear`]** (merges and
+/// delta application today), so no estimate is ever served from a view
+/// of older statistics.
+pub(crate) struct ViewCache<V>(OnceLock<V>);
+
+impl<V> ViewCache<V> {
+    /// The resident view, decoding it with `decode` if none is held.
+    pub(crate) fn get_or_init(&self, decode: impl FnOnce() -> V) -> &V {
+        self.0.get_or_init(decode)
+    }
+
+    /// Drops the resident view; the next estimate decodes afresh.
+    pub(crate) fn clear(&mut self) {
+        self.0.take();
+    }
+}
+
+impl<V> Default for ViewCache<V> {
+    fn default() -> Self {
+        Self(OnceLock::new())
+    }
+}
+
+impl<V> Clone for ViewCache<V> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<V> PartialEq for ViewCache<V> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<V> std::fmt::Debug for ViewCache<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ViewCache")
     }
 }
 
@@ -143,173 +241,71 @@ fn avg(sum: Mass, count: u32) -> f64 {
     }
 }
 
+/// `IP / 4 / (N₁·N₂)` — the GH estimate tail, shared by the kernel and
+/// the scalar oracles.
+#[allow(clippy::cast_precision_loss)]
+pub(crate) fn ip_estimate(ip: f64, n1: u64, n2: u64) -> SelectivityEstimate {
+    let denom = (n1 as f64) * (n2 as f64);
+    let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
+    SelectivityEstimate::from_selectivity(
+        raw,
+        usize::try_from(n1).unwrap_or(usize::MAX),
+        usize::try_from(n2).unwrap_or(usize::MAX),
+    )
+}
+
 // ---------------------------------------------------------------------
 // PH view (Table 1 / Eq. 3)
 // ---------------------------------------------------------------------
 
-/// Flat SoA view of a [`PhHistogram`] for repeated estimation.
-///
-/// Decodes the per-cell `Cont`/`Isect` statistics into eight contiguous
-/// `f64` slices (counts, coverages and pre-derived `Xavg`/`Yavg`
-/// averages per group) plus a [`RowMask`], once; every subsequent
-/// [`PhView::estimate`] then runs the four-case `Sa..Sd` sweep over the
-/// slices with empty cells skipped. The result is bit-identical to
-/// [`PhHistogram::estimate_scalar`] on the backing histograms.
-///
-/// ```
-/// use sj_geo::{Extent, Rect};
-/// use sj_histogram::kernel::PhView;
-/// use sj_histogram::{Grid, PhHistogram, SpatialHistogram};
-///
-/// let grid = Grid::new(3, Extent::unit())?;
-/// let a: Vec<Rect> = (0..40)
-///     .map(|i| {
-///         let t = f64::from(i) * 0.02;
-///         Rect::new(t, t, t + 0.06, t + 0.05)
-///     })
-///     .collect();
-/// let b: Vec<Rect> = (0..30)
-///     .map(|i| {
-///         let t = f64::from(i) * 0.03;
-///         Rect::new(t, 0.9 - t, t + 0.05, 0.97 - t)
-///     })
-///     .collect();
-/// let (ha, hb) = (PhHistogram::build(grid, &a), PhHistogram::build(grid, &b));
-///
-/// // Decode once, estimate many times (the warm-serving pattern).
-/// let (va, vb) = (PhView::new(&ha), PhView::new(&hb));
-/// let kernel = va.estimate(&vb)?;
-///
-/// // The trait path dispatches through the same kernel: bit-identical.
-/// let trait_path = ha.estimate_join(&hb)?;
-/// assert_eq!(kernel.selectivity.to_bits(), trait_path.selectivity.to_bits());
-/// assert_eq!(kernel.pairs.to_bits(), trait_path.pairs.to_bits());
-/// # Ok::<(), sj_histogram::HistogramError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhView {
+/// Resident view of a [`PhHistogram`]: per occupied cell, the record
+/// `[N, C, Xavg, Yavg, N', C', Xavg', Yavg']` of the `Cont` and `Isect`
+/// groups with the averages pre-derived, plus the dataset scalars.
+pub(crate) struct PhView {
     grid: Grid,
-    len: usize,
-    n_f64: f64,
+    n: u64,
     avg_span: f64,
-    cell_area: f64,
-    // Cont group: count, coverage, average width, average height.
-    n: Vec<f64>,
-    c: Vec<f64>,
-    w: Vec<f64>,
-    h: Vec<f64>,
-    // Isect group, over clipped intersections.
-    nx: Vec<f64>,
-    cx: Vec<f64>,
-    wx: Vec<f64>,
-    hx: Vec<f64>,
-    occ: RowMask,
+    cells: CellRecords<8>,
 }
 
 impl PhView {
-    /// Decodes `hist` into the flat SoA form.
-    #[must_use]
-    pub fn new(hist: &PhHistogram) -> Self {
+    /// Decodes `hist` into the compact record form.
+    pub(crate) fn new(hist: &PhHistogram) -> Self {
         let grid = hist.grid();
         let cpa = ix(grid.cells_per_axis());
-        let cells = grid.num_cells();
-        #[allow(clippy::cast_precision_loss)]
-        let n_f64 = hist.n as f64;
-        let mut view = Self {
+        let cells = CellRecords::decode(cpa, cpa, |idx| {
+            [
+                f64::from(hist.num[idx]),
+                hist.cov[idx].to_f64(),
+                avg(hist.xsum[idx], hist.num[idx]),
+                avg(hist.ysum[idx], hist.num[idx]),
+                f64::from(hist.num_x[idx]),
+                hist.cov_x[idx].to_f64(),
+                avg(hist.xsum_x[idx], hist.num_x[idx]),
+                avg(hist.ysum_x[idx], hist.num_x[idx]),
+            ]
+        });
+        Self {
             grid,
-            len: hist.dataset_len(),
-            n_f64,
+            n: hist.n,
             avg_span: hist.avg_span(),
-            cell_area: grid.cell_area(),
-            n: Vec::with_capacity(cells),
-            c: Vec::with_capacity(cells),
-            w: Vec::with_capacity(cells),
-            h: Vec::with_capacity(cells),
-            nx: Vec::with_capacity(cells),
-            cx: Vec::with_capacity(cells),
-            wx: Vec::with_capacity(cells),
-            hx: Vec::with_capacity(cells),
-            occ: RowMask::empty(cpa, cpa),
-        };
-        for idx in 0..cells {
-            let n = f64::from(hist.num[idx]);
-            let c = hist.cov[idx].to_f64();
-            let w = avg(hist.xsum[idx], hist.num[idx]);
-            let h = avg(hist.ysum[idx], hist.num[idx]);
-            let nx = f64::from(hist.num_x[idx]);
-            let cx = hist.cov_x[idx].to_f64();
-            let wx = avg(hist.xsum_x[idx], hist.num_x[idx]);
-            let hx = avg(hist.ysum_x[idx], hist.num_x[idx]);
-            if n != 0.0
-                || c != 0.0
-                || w != 0.0
-                || h != 0.0
-                || nx != 0.0
-                || cx != 0.0
-                || wx != 0.0
-                || hx != 0.0
-            {
-                view.occ.set(idx / cpa, idx % cpa);
-            }
-            view.n.push(n);
-            view.c.push(c);
-            view.w.push(w);
-            view.h.push(h);
-            view.nx.push(nx);
-            view.cx.push(cx);
-            view.wx.push(wx);
-            view.hx.push(hx);
+            cells,
         }
-        view
-    }
-
-    /// The grid the backing histogram was built on.
-    #[must_use]
-    pub fn grid(&self) -> Grid {
-        self.grid
-    }
-
-    /// Cardinality of the summarized dataset.
-    #[must_use]
-    pub fn dataset_len(&self) -> usize {
-        self.len
     }
 
     /// Occupied cells (any non-zero `Cont`/`Isect` statistic).
-    #[must_use]
-    pub fn occupied_cells(&self) -> usize {
-        self.occ.count()
+    pub(crate) fn occupied_cells(&self) -> usize {
+        self.cells.len()
     }
 
-    /// Kernel-path PH estimate (paper Eq. 3 with the `AvgSpan`
-    /// correction); bit-identical to [`PhHistogram::estimate`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::GridMismatch`] when the backing
-    /// histograms were built on different grids.
-    pub fn estimate(&self, other: &PhView) -> Result<SelectivityEstimate, HistogramError> {
-        self.estimate_with(other, true)
-    }
-
-    /// Kernel-path variant of [`PhHistogram::estimate_uncorrected`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::GridMismatch`] when the backing
-    /// histograms were built on different grids.
-    pub fn estimate_uncorrected(
-        &self,
-        other: &PhView,
-    ) -> Result<SelectivityEstimate, HistogramError> {
-        self.estimate_with(other, false)
-    }
-
-    pub(crate) fn estimate_with(
+    /// Paper Eq. 3, with the `AvgSpan` correction when `correct_spans`.
+    pub(crate) fn estimate(
         &self,
         other: &PhView,
         correct_spans: bool,
     ) -> Result<SelectivityEstimate, HistogramError> {
         grid_check(self.grid, other.grid)?;
-        let cell_area = self.cell_area;
+        let cell_area = self.grid.cell_area();
         // The parametric kernel of Eq. 1 — identical expression (and
         // therefore rounding) to the scalar reference loop.
         let kernel = |n1: f64, c1: f64, w1: f64, h1: f64, n2: f64, c2: f64, w2: f64, h2: f64| {
@@ -317,11 +313,9 @@ impl PhView {
         };
         let mut sum_abc = 0.0f64;
         let mut sum_d = 0.0f64;
-        for_each_joint(&self.occ, &other.occ, |idx| {
-            let (n1, c1, w1, h1) = (self.n[idx], self.c[idx], self.w[idx], self.h[idx]);
-            let (n1x, c1x, w1x, h1x) = (self.nx[idx], self.cx[idx], self.wx[idx], self.hx[idx]);
-            let (n2, c2, w2, h2) = (other.n[idx], other.c[idx], other.w[idx], other.h[idx]);
-            let (n2x, c2x, w2x, h2x) = (other.nx[idx], other.cx[idx], other.wx[idx], other.hx[idx]);
+        self.cells.for_each_joint(&other.cells, |a, b| {
+            let [n1, c1, w1, h1, n1x, c1x, w1x, h1x] = *a;
+            let [n2, c2, w2, h2, n2x, c2x, w2x, h2x] = *b;
             // Sa: Cont1 × Cont2; Sb: Cont1 × Isect2; Sc: Isect1 × Cont2.
             sum_abc += kernel(n1, c1, w1, h1, n2, c2, w2, h2);
             sum_abc += kernel(n1, c1, w1, h1, n2x, c2x, w2x, h2x);
@@ -335,270 +329,91 @@ impl PhView {
             1.0
         };
         let size = sum_abc + sum_d / span_correction;
-        let denom = self.n_f64 * other.n_f64;
+        #[allow(clippy::cast_precision_loss)]
+        let denom = (self.n as f64) * (other.n as f64);
         let raw = if denom == 0.0 { 0.0 } else { size / denom };
         Ok(SelectivityEstimate::from_selectivity(
-            raw, self.len, other.len,
+            raw,
+            usize::try_from(self.n).unwrap_or(usize::MAX),
+            usize::try_from(other.n).unwrap_or(usize::MAX),
         ))
     }
 }
 
 // ---------------------------------------------------------------------
-// Revised GH view (Table 2 / Eq. 5)
+// GH view (Eq. 4 and Eq. 5)
 // ---------------------------------------------------------------------
 
-/// Flat SoA view of a [`GhHistogram`] for repeated estimation.
-///
-/// Decodes `{C, O, H, V}` into four contiguous `f64` slices plus a
-/// [`RowMask`], once; [`GhView::intersection_points`] then runs the
-/// Eq. 5 corner×overlap and edge×edge products over the slices with
-/// empty-cell runs skipped. Bit-identical to
-/// [`GhHistogram::intersection_points_scalar`].
-///
-/// ```
-/// use sj_geo::{Extent, Rect};
-/// use sj_histogram::kernel::GhView;
-/// use sj_histogram::{GhHistogram, Grid, SpatialHistogram};
-///
-/// let grid = Grid::new(5, Extent::unit())?;
-/// let streams = vec![Rect::new(0.10, 0.10, 0.30, 0.12)];
-/// let roads = vec![Rect::new(0.12, 0.05, 0.14, 0.40)];
-/// let hs = GhHistogram::build(grid, &streams);
-/// let hr = GhHistogram::build(grid, &roads);
-///
-/// let (vs, vr) = (GhView::new(&hs), GhView::new(&hr));
-/// let kernel = vs.estimate(&vr)?;
-/// let trait_path = hs.estimate_join(&hr)?;
-/// assert_eq!(kernel.pairs.to_bits(), trait_path.pairs.to_bits());
-/// assert!(kernel.pairs > 0.9 && kernel.pairs < 1.1, "one crossing pair");
-/// # Ok::<(), sj_histogram::HistogramError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GhView {
+/// Resident view of a [`GhHistogram`] or [`GhBasicHistogram`]: per
+/// occupied cell, the record `[C, O, H, V]` (revised, Table 2) or
+/// `[C, I, V, H]` (basic). With `a`/`b` the two operands' records, both
+/// Eq. 4 and Eq. 5 read `Σ a₀·b₁ + b₀·a₁ + a₂·b₃ + b₂·a₃` over these
+/// layouts — `f64` multiplication commutes exactly, so the one kernel
+/// is bit-identical to both scalar loops.
+pub(crate) struct GhView {
     grid: Grid,
-    len: usize,
-    n_f64: f64,
-    c: Vec<f64>,
-    o: Vec<f64>,
-    h: Vec<f64>,
-    v: Vec<f64>,
-    occ: RowMask,
+    n: u64,
+    cells: CellRecords<4>,
 }
 
 impl GhView {
-    /// Decodes `hist` into the flat SoA form.
-    #[must_use]
-    pub fn new(hist: &GhHistogram) -> Self {
-        let grid = hist.grid();
-        let cpa = ix(grid.cells_per_axis());
-        let cells = grid.num_cells();
-        #[allow(clippy::cast_precision_loss)]
-        let n_f64 = hist.n as f64;
-        let mut view = Self {
-            grid,
-            len: hist.dataset_len(),
-            n_f64,
-            c: Vec::with_capacity(cells),
-            o: Vec::with_capacity(cells),
-            h: Vec::with_capacity(cells),
-            v: Vec::with_capacity(cells),
-            occ: RowMask::empty(cpa, cpa),
-        };
-        for idx in 0..cells {
-            let c = f64::from(hist.c[idx]);
-            let o = hist.o[idx].to_f64();
-            let h = hist.h[idx].to_f64();
-            let v = hist.v[idx].to_f64();
-            if c != 0.0 || o != 0.0 || h != 0.0 || v != 0.0 {
-                view.occ.set(idx / cpa, idx % cpa);
-            }
-            view.c.push(c);
-            view.o.push(o);
-            view.h.push(h);
-            view.v.push(v);
+    /// Decodes a revised GH histogram.
+    pub(crate) fn revised(hist: &GhHistogram) -> Self {
+        let cpa = ix(hist.grid().cells_per_axis());
+        let cells = CellRecords::decode(cpa, cpa, |idx| {
+            [
+                f64::from(hist.c[idx]),
+                hist.o[idx].to_f64(),
+                hist.h[idx].to_f64(),
+                hist.v[idx].to_f64(),
+            ]
+        });
+        Self {
+            grid: hist.grid(),
+            n: hist.n,
+            cells,
         }
-        view
     }
 
-    /// The grid the backing histogram was built on.
-    #[must_use]
-    pub fn grid(&self) -> Grid {
-        self.grid
+    /// Decodes a basic GH histogram.
+    pub(crate) fn basic(hist: &GhBasicHistogram) -> Self {
+        let cpa = ix(hist.grid().cells_per_axis());
+        let cells = CellRecords::decode(cpa, cpa, |idx| {
+            [
+                f64::from(hist.c[idx]),
+                f64::from(hist.i[idx]),
+                f64::from(hist.v[idx]),
+                f64::from(hist.h[idx]),
+            ]
+        });
+        Self {
+            grid: hist.grid(),
+            n: hist.n,
+            cells,
+        }
     }
 
-    /// Cardinality of the summarized dataset.
-    #[must_use]
-    pub fn dataset_len(&self) -> usize {
-        self.len
+    /// Occupied cells (any non-zero statistic).
+    pub(crate) fn occupied_cells(&self) -> usize {
+        self.cells.len()
     }
 
-    /// Occupied cells (any non-zero `{C, O, H, V}` mass).
-    #[must_use]
-    pub fn occupied_cells(&self) -> usize {
-        self.occ.count()
-    }
-
-    /// Kernel-path Eq. 5 intersection-point total; bit-identical to
-    /// [`GhHistogram::intersection_points_scalar`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::GridMismatch`] when the backing
-    /// histograms were built on different grids.
-    pub fn intersection_points(&self, other: &GhView) -> Result<f64, HistogramError> {
+    /// Eq. 4/5 intersection-point total.
+    pub(crate) fn intersection_points(&self, other: &GhView) -> Result<f64, HistogramError> {
         grid_check(self.grid, other.grid)?;
         let mut total = 0.0f64;
-        for_each_joint(&self.occ, &other.occ, |idx| {
-            total += self.c[idx] * other.o[idx]
-                + other.c[idx] * self.o[idx]
-                + self.h[idx] * other.v[idx]
-                + other.h[idx] * self.v[idx];
+        self.cells.for_each_joint(&other.cells, |a, b| {
+            total += a[0] * b[1] + b[0] * a[1] + a[2] * b[3] + b[2] * a[3];
         });
         Ok(total)
     }
 
-    /// Kernel-path revised-GH estimate: `IP / 4 / (N₁·N₂)`;
-    /// bit-identical to [`GhHistogram::estimate`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::GridMismatch`] when the backing
-    /// histograms were built on different grids.
-    pub fn estimate(&self, other: &GhView) -> Result<SelectivityEstimate, HistogramError> {
-        let ip = self.intersection_points(other)?;
-        let denom = self.n_f64 * other.n_f64;
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw, self.len, other.len,
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Basic GH view (Eq. 4)
-// ---------------------------------------------------------------------
-
-/// Flat SoA view of a [`GhBasicHistogram`] for repeated estimation.
-///
-/// Same layout discipline as [`GhView`], over the integer `{C, I, V,
-/// H}` counts of Eq. 4. Bit-identical to
-/// [`GhBasicHistogram::intersection_points_scalar`].
-///
-/// ```
-/// use sj_geo::{Extent, Rect};
-/// use sj_histogram::kernel::GhBasicView;
-/// use sj_histogram::{GhBasicHistogram, Grid, SpatialHistogram};
-///
-/// let grid = Grid::new(3, Extent::unit())?;
-/// let a = vec![Rect::new(0.1, 0.1, 0.6, 0.6)];
-/// let b = vec![Rect::new(0.4, 0.4, 0.9, 0.9)];
-/// let (ha, hb) = (
-///     GhBasicHistogram::build(grid, &a),
-///     GhBasicHistogram::build(grid, &b),
-/// );
-/// let (va, vb) = (GhBasicView::new(&ha), GhBasicView::new(&hb));
-/// let ip = va.intersection_points(&vb)?;
-/// assert!((ip - 4.0).abs() < 1e-12, "one resolved pair = 4 points");
-/// let trait_path = ha.estimate_join(&hb)?;
-/// assert_eq!(
-///     va.estimate(&vb)?.selectivity.to_bits(),
-///     trait_path.selectivity.to_bits(),
-/// );
-/// # Ok::<(), sj_histogram::HistogramError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GhBasicView {
-    grid: Grid,
-    len: usize,
-    n_f64: f64,
-    c: Vec<f64>,
-    i: Vec<f64>,
-    v: Vec<f64>,
-    h: Vec<f64>,
-    occ: RowMask,
-}
-
-impl GhBasicView {
-    /// Decodes `hist` into the flat SoA form.
-    #[must_use]
-    pub fn new(hist: &GhBasicHistogram) -> Self {
-        let grid = hist.grid();
-        let cpa = ix(grid.cells_per_axis());
-        let cells = grid.num_cells();
-        #[allow(clippy::cast_precision_loss)]
-        let n_f64 = hist.n as f64;
-        let mut view = Self {
-            grid,
-            len: hist.dataset_len(),
-            n_f64,
-            c: Vec::with_capacity(cells),
-            i: Vec::with_capacity(cells),
-            v: Vec::with_capacity(cells),
-            h: Vec::with_capacity(cells),
-            occ: RowMask::empty(cpa, cpa),
-        };
-        for idx in 0..cells {
-            let c = f64::from(hist.c[idx]);
-            let i = f64::from(hist.i[idx]);
-            let v = f64::from(hist.v[idx]);
-            let h = f64::from(hist.h[idx]);
-            if c != 0.0 || i != 0.0 || v != 0.0 || h != 0.0 {
-                view.occ.set(idx / cpa, idx % cpa);
-            }
-            view.c.push(c);
-            view.i.push(i);
-            view.v.push(v);
-            view.h.push(h);
-        }
-        view
-    }
-
-    /// The grid the backing histogram was built on.
-    #[must_use]
-    pub fn grid(&self) -> Grid {
-        self.grid
-    }
-
-    /// Cardinality of the summarized dataset.
-    #[must_use]
-    pub fn dataset_len(&self) -> usize {
-        self.len
-    }
-
-    /// Occupied cells (any non-zero `{C, I, V, H}` count).
-    #[must_use]
-    pub fn occupied_cells(&self) -> usize {
-        self.occ.count()
-    }
-
-    /// Kernel-path Eq. 4 intersection-point total; bit-identical to
-    /// [`GhBasicHistogram::intersection_points_scalar`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::GridMismatch`] when the backing
-    /// histograms were built on different grids.
-    pub fn intersection_points(&self, other: &GhBasicView) -> Result<f64, HistogramError> {
-        grid_check(self.grid, other.grid)?;
-        let mut total = 0.0f64;
-        for_each_joint(&self.occ, &other.occ, |idx| {
-            total += self.c[idx] * other.i[idx]
-                + self.i[idx] * other.c[idx]
-                + self.v[idx] * other.h[idx]
-                + self.h[idx] * other.v[idx];
-        });
-        Ok(total)
-    }
-
-    /// Kernel-path basic-GH estimate: `IP / 4 / (N₁·N₂)`;
-    /// bit-identical to [`GhBasicHistogram::estimate`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::GridMismatch`] when the backing
-    /// histograms were built on different grids.
-    pub fn estimate(&self, other: &GhBasicView) -> Result<SelectivityEstimate, HistogramError> {
-        let ip = self.intersection_points(other)?;
-        let denom = self.n_f64 * other.n_f64;
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw, self.len, other.len,
+    /// The GH estimate: `IP / 4 / (N₁·N₂)`.
+    pub(crate) fn estimate(&self, other: &GhView) -> Result<SelectivityEstimate, HistogramError> {
+        Ok(ip_estimate(
+            self.intersection_points(other)?,
+            self.n,
+            other.n,
         ))
     }
 }
@@ -801,44 +616,64 @@ mod tests {
     #[test]
     fn row_mask_set_and_count() {
         let mut m = RowMask::empty(8, 8);
-        assert_eq!(m.count(), 0);
+        assert_eq!(m.rank_prefix(), vec![0; 8]);
         m.set(0, 0);
         m.set(3, 7);
+        m.set(3, 2);
         m.set(7, 7);
-        assert_eq!(m.count(), 3);
-        assert!(m.is_set(3, 7));
-        assert!(!m.is_set(3, 6));
+        // One word per row: each word's rank counts the rows above it.
+        assert_eq!(m.rank_prefix(), vec![0, 1, 1, 1, 3, 3, 3, 3]);
+    }
+
+    /// Records carrying their own flat index (+1, so that no record is
+    /// all-zero) for the cells of a `rows × cols` grid listed in `set`.
+    fn indexed(rows: usize, cols: usize, set: &[usize]) -> CellRecords<1> {
+        #[allow(clippy::cast_precision_loss)]
+        CellRecords::decode(rows, cols, |idx| {
+            [if set.contains(&idx) {
+                idx as f64 + 1.0
+            } else {
+                0.0
+            }]
+        })
+    }
+
+    fn joint(a: &CellRecords<1>, b: &CellRecords<1>) -> Vec<f64> {
+        let mut seen = Vec::new();
+        a.for_each_joint(b, |ra, rb| {
+            assert_eq!(ra, rb, "both sides must address the same cell");
+            seen.push(ra[0] - 1.0);
+        });
+        seen
     }
 
     #[test]
     fn joint_iteration_is_ascending_and_intersects() {
-        let mut a = RowMask::empty(3, 70); // two words per row
-        let mut b = RowMask::empty(3, 70);
-        for col in [0usize, 1, 63, 64, 69] {
-            a.set(1, col);
-        }
-        for col in [1usize, 63, 64, 65] {
-            b.set(1, col);
-        }
-        a.set(0, 5);
-        b.set(2, 5);
-        let mut seen = Vec::new();
-        for_each_joint(&a, &b, |idx| seen.push(idx));
-        // Row 1 starts at flat index 70.
-        assert_eq!(seen, vec![71, 133, 134]);
+        // Two words per row; row 1 starts at flat index 70.
+        let a = indexed(3, 70, &[5, 70, 71, 133, 134, 139]);
+        let b = indexed(3, 70, &[71, 133, 134, 135, 145]);
+        assert_eq!((a.len(), b.len()), (6, 5));
+        assert_eq!(joint(&a, &b), vec![71.0, 133.0, 134.0]);
     }
 
     #[test]
     fn joint_iteration_dense_word_fast_path() {
-        let mut a = RowMask::empty(2, 64);
-        let mut b = RowMask::empty(2, 64);
-        for col in 0..64 {
-            a.set(0, col);
-            b.set(0, col);
-        }
-        let mut seen = Vec::new();
-        for_each_joint(&a, &b, |idx| seen.push(idx));
-        assert_eq!(seen, (0..64).collect::<Vec<_>>());
+        let a = indexed(2, 64, &(0..64).collect::<Vec<_>>());
+        let b = indexed(2, 64, &(0..64).chain([100]).collect::<Vec<_>>());
+        let expected: Vec<f64> = (0..64u32).map(f64::from).collect();
+        assert_eq!(joint(&a, &b), expected);
+        // A full word preceded by sparse ones addresses records by rank.
+        let c = indexed(2, 64, &[3, 9]);
+        let d = indexed(2, 64, &[9, 64, 65]);
+        assert_eq!(joint(&c, &d), vec![9.0]);
+        let e = indexed(
+            2,
+            64,
+            &[3, 9].into_iter().chain(64..128).collect::<Vec<_>>(),
+        );
+        let f = indexed(2, 64, &[9].into_iter().chain(64..128).collect::<Vec<_>>());
+        let tail: Vec<f64> = [9u32].into_iter().chain(64..128).map(f64::from).collect();
+        assert_eq!(joint(&e, &f), tail);
     }
 
     #[test]
@@ -862,7 +697,7 @@ mod tests {
             Rect::new(0.5, 0.5, 0.8, 0.8),
         ];
         let gh = GhHistogram::build(grid, &rects);
-        let view = GhView::new(&gh);
+        let view = GhView::revised(&gh);
         assert_eq!(view.occupied_cells(), gh.occupied_cells());
         assert!(view.occupied_cells() < grid.num_cells());
     }

@@ -43,7 +43,7 @@ mod error;
 mod euler;
 mod gh;
 mod grid;
-pub mod kernel;
+mod kernel;
 mod mass;
 mod parametric;
 mod ph;

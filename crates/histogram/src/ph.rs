@@ -17,6 +17,7 @@
 
 use crate::band::RowBanded;
 use crate::grid::Grid;
+use crate::kernel::{PhView, ViewCache};
 use crate::mass::Mass;
 use crate::{CorruptSection, HistogramError, SelectivityEstimate};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -29,12 +30,53 @@ const MAGIC: u32 = 0x534a_5048; // "SJPH"
 ///
 /// All statistics are stored as mergeable *sums* (exact fixed point for
 /// fractional masses); Table 1's averages `Xavg`/`Yavg` and the scalar
-/// `AvgSpan` are derived at estimate time. This is what makes PH a
-/// mergeable sketch like the other families.
+/// `AvgSpan` are derived when the histogram's resident estimate view is
+/// decoded. This is what makes PH a mergeable sketch like the other
+/// families.
+///
+/// The view is decoded once, on the first estimate, and reused until a
+/// merge or delta changes the statistics (DESIGN.md §16), so repeated
+/// estimates against warm statistics skip the fixed-point decode. Every
+/// estimate is bit-identical to the scalar reference loop:
+///
+/// ```
+/// use sj_geo::{Extent, Rect};
+/// use sj_histogram::{Grid, PhHistogram, SpatialHistogram};
+///
+/// let grid = Grid::new(3, Extent::unit())?;
+/// let a: Vec<Rect> = (0..40)
+///     .map(|i| {
+///         let t = f64::from(i) * 0.02;
+///         Rect::new(t, t, t + 0.06, t + 0.05)
+///     })
+///     .collect();
+/// let b: Vec<Rect> = (0..30)
+///     .map(|i| {
+///         let t = f64::from(i) * 0.03;
+///         Rect::new(t, 0.9 - t, t + 0.05, 0.97 - t)
+///     })
+///     .collect();
+/// let (mut ha, hb) = (PhHistogram::build(grid, &a), PhHistogram::build(grid, &b));
+///
+/// // The first estimate decodes both views; the second reuses them.
+/// let scalar = ha.estimate_scalar(&hb)?;
+/// for _ in 0..2 {
+///     let est = ha.estimate_join(&hb)?;
+///     assert_eq!(est.selectivity.to_bits(), scalar.selectivity.to_bits());
+///     assert_eq!(est.pairs.to_bits(), scalar.pairs.to_bits());
+/// }
+///
+/// // A merge clears the resident view: the next estimate sees the new
+/// // statistics.
+/// ha.merge(&hb)?;
+/// let after = ha.estimate(&hb)?;
+/// assert_eq!(after.pairs.to_bits(), ha.estimate_scalar(&hb)?.pairs.to_bits());
+/// # Ok::<(), sj_histogram::HistogramError>(())
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhHistogram {
     grid: Grid,
-    /// Dataset cardinality (read by the SoA kernel views).
+    /// Dataset cardinality (read by the resident view's decoder).
     pub(crate) n: u64,
     /// Total cells spanned by boundary-crossing MBRs (`AvgSpan`
     /// numerator).
@@ -42,7 +84,7 @@ pub struct PhHistogram {
     /// Number of boundary-crossing MBRs (`AvgSpan` denominator).
     span_rects: u64,
     // Cont group, per cell: count, coverage sum, width/height sums.
-    // `pub(crate)` so `kernel::PhView` can decode them into SoA slices.
+    // `pub(crate)` so the resident view can decode them into records.
     pub(crate) num: Vec<u32>,
     pub(crate) cov: Vec<Mass>,
     pub(crate) xsum: Vec<Mass>,
@@ -52,6 +94,8 @@ pub struct PhHistogram {
     pub(crate) cov_x: Vec<Mass>,
     pub(crate) xsum_x: Vec<Mass>,
     pub(crate) ysum_x: Vec<Mass>,
+    /// The resident estimate view; cleared by every `&mut` path.
+    view: ViewCache<PhView>,
 }
 
 impl PhHistogram {
@@ -96,14 +140,14 @@ impl PhHistogram {
     /// Estimates the join selectivity between the datasets summarized by
     /// `self` and `other` (paper Eq. 3, with the `AvgSpan` correction).
     ///
-    /// Dispatches through the SoA kernel layer ([`crate::kernel::PhView`],
-    /// DESIGN.md §16); bit-identical to [`Self::estimate_scalar`].
+    /// Runs over both histograms' resident views (DESIGN.md §16);
+    /// bit-identical to [`Self::estimate_scalar`].
     ///
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] when the histograms were
     /// built on different grids.
     pub fn estimate(&self, other: &PhHistogram) -> Result<SelectivityEstimate, HistogramError> {
-        crate::kernel::PhView::new(self).estimate(&crate::kernel::PhView::new(other))
+        self.view().estimate(other.view(), true)
     }
 
     /// Estimates *without* dividing the `Sd` sum by the mean `AvgSpan` —
@@ -119,7 +163,19 @@ impl PhHistogram {
         &self,
         other: &PhHistogram,
     ) -> Result<SelectivityEstimate, HistogramError> {
-        crate::kernel::PhView::new(self).estimate_uncorrected(&crate::kernel::PhView::new(other))
+        self.view().estimate(other.view(), false)
+    }
+
+    /// The resident view, decoded on first use.
+    fn view(&self) -> &PhView {
+        self.view.get_or_init(|| PhView::new(self))
+    }
+
+    /// Number of cells the estimate reads: those with any non-zero
+    /// `Cont`/`Isect` statistic.
+    #[must_use]
+    pub fn occupied_cells(&self) -> usize {
+        self.view().occupied_cells()
     }
 
     /// The retained scalar reference loop of [`Self::estimate`]: iterates
@@ -313,6 +369,7 @@ impl PhHistogram {
             cov_x,
             xsum_x,
             ysum_x,
+            view: ViewCache::default(),
         })
     }
 
@@ -397,10 +454,12 @@ impl RowBanded for PhHistogram {
             cov_x,
             xsum_x,
             ysum_x,
+            view: ViewCache::default(),
         }
     }
 
     fn merge_same_grid(&mut self, other: &Self) {
+        self.view.clear();
         self.n += other.n;
         self.span_total += other.span_total;
         self.span_rects += other.span_rects;
@@ -461,6 +520,7 @@ impl crate::diff::StatInspect for PhHistogram {
 
 impl crate::delta::StatInspectMut for PhHistogram {
     fn scalar_stats_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+        self.view.clear();
         vec![
             ("n", &mut self.n),
             ("span_total", &mut self.span_total),
@@ -470,6 +530,7 @@ impl crate::delta::StatInspectMut for PhHistogram {
 
     fn cell_stats_mut(&mut self) -> Vec<crate::delta::StatArrayMut<'_>> {
         use crate::delta::{CellValuesMut, StatArrayMut};
+        self.view.clear();
         let counts = |name, data| StatArrayMut {
             name,
             values: CellValuesMut::Counts(data),

@@ -2,12 +2,13 @@
 //! **bit-identical** to the retained scalar reference loops across the
 //! verify-merge scenario matrix (all gridded families, levels {3, 6},
 //! every ordered dataset pair including self-joins and an empty
-//! dataset). This is the pin for DESIGN.md §16's bit-identity argument;
-//! CI runs it as its own named step.
+//! dataset), both on the first call — which decodes each histogram's
+//! resident view — and on a second call served from the cached views.
+//! This is the pin for DESIGN.md §16's bit-identity argument; CI runs
+//! it as its own named step.
 
 use sj_datagen::presets::verify_scenarios;
 use sj_geo::{Extent, Rect};
-use sj_histogram::kernel::{GhBasicView, GhView, PhView};
 use sj_histogram::{
     GhBasicHistogram, GhHistogram, Grid, HistogramError, PhHistogram, SelectivityEstimate,
     SpatialHistogram,
@@ -45,6 +46,8 @@ fn ph_kernel_is_bit_identical_to_scalar() {
         for (na, ha) in &hists {
             for (nb, hb) in &hists {
                 let ctx = format!("level {level}, {na} x {nb}");
+                // Clones start with empty caches: the first call decodes.
+                let (ha, hb) = (&ha.clone(), &hb.clone());
                 assert_eq!(
                     bits(ha.estimate(hb).unwrap()),
                     bits(ha.estimate_scalar(hb).unwrap()),
@@ -55,19 +58,16 @@ fn ph_kernel_is_bit_identical_to_scalar() {
                     bits(ha.estimate_uncorrected_scalar(hb).unwrap()),
                     "uncorrected estimate diverged: {ctx}"
                 );
-                // The trait path dispatches through the same kernel.
-                assert_eq!(
-                    bits(ha.estimate_join(hb).unwrap()),
-                    bits(ha.estimate_scalar(hb).unwrap()),
-                    "trait path diverged: {ctx}"
-                );
-                // Reused views (the warm-serving pattern) agree too.
-                let (va, vb) = (PhView::new(ha), PhView::new(hb));
-                assert_eq!(
-                    bits(va.estimate(&vb).unwrap()),
-                    bits(ha.estimate_scalar(hb).unwrap()),
-                    "view path diverged: {ctx}"
-                );
+                // The trait path dispatches through the same kernel, and
+                // a repeated call (the warm-serving pattern) is served
+                // from the cached views.
+                for call in ["first", "cached"] {
+                    assert_eq!(
+                        bits(ha.estimate_join(hb).unwrap()),
+                        bits(ha.estimate_scalar(hb).unwrap()),
+                        "{call} trait-path call diverged: {ctx}"
+                    );
+                }
             }
         }
     }
@@ -84,6 +84,8 @@ fn gh_revised_kernel_is_bit_identical_to_scalar() {
         for (na, ha) in &hists {
             for (nb, hb) in &hists {
                 let ctx = format!("level {level}, {na} x {nb}");
+                // Clones start with empty caches: the first call decodes.
+                let (ha, hb) = (&ha.clone(), &hb.clone());
                 assert_eq!(
                     ha.intersection_points(hb).unwrap().to_bits(),
                     ha.intersection_points_scalar(hb).unwrap().to_bits(),
@@ -97,13 +99,7 @@ fn gh_revised_kernel_is_bit_identical_to_scalar() {
                 assert_eq!(
                     bits(ha.estimate_join(hb).unwrap()),
                     bits(ha.estimate_scalar(hb).unwrap()),
-                    "trait path diverged: {ctx}"
-                );
-                let (va, vb) = (GhView::new(ha), GhView::new(hb));
-                assert_eq!(
-                    va.intersection_points(&vb).unwrap().to_bits(),
-                    ha.intersection_points_scalar(hb).unwrap().to_bits(),
-                    "view path diverged: {ctx}"
+                    "cached trait-path call diverged: {ctx}"
                 );
             }
         }
@@ -121,6 +117,8 @@ fn gh_basic_kernel_is_bit_identical_to_scalar() {
         for (na, ha) in &hists {
             for (nb, hb) in &hists {
                 let ctx = format!("level {level}, {na} x {nb}");
+                // Clones start with empty caches: the first call decodes.
+                let (ha, hb) = (&ha.clone(), &hb.clone());
                 assert_eq!(
                     ha.intersection_points(hb).unwrap().to_bits(),
                     ha.intersection_points_scalar(hb).unwrap().to_bits(),
@@ -134,13 +132,7 @@ fn gh_basic_kernel_is_bit_identical_to_scalar() {
                 assert_eq!(
                     bits(ha.estimate_join(hb).unwrap()),
                     bits(ha.estimate_scalar(hb).unwrap()),
-                    "trait path diverged: {ctx}"
-                );
-                let (va, vb) = (GhBasicView::new(ha), GhBasicView::new(hb));
-                assert_eq!(
-                    va.intersection_points(&vb).unwrap().to_bits(),
-                    ha.intersection_points_scalar(hb).unwrap().to_bits(),
-                    "view path diverged: {ctx}"
+                    "cached trait-path call diverged: {ctx}"
                 );
             }
         }

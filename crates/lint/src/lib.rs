@@ -260,3 +260,31 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
         }
     }
 }
+
+/// A fresh scratch directory under the system temp dir, unique to this
+/// call: the name joins `prefix`, the process id and a process-wide
+/// counter, so verifier runs that share a process (parallel unit tests,
+/// say) never share — and `remove_dir_all` — each other's stores. A
+/// stale directory left at the path by an earlier process is removed.
+#[must_use]
+pub fn unique_scratch_dir(prefix: &str) -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // sj-lint: allow(atomic-ordering, the counter only makes directory names unique; no other memory is published through it)
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unique_scratch_dir;
+
+    #[test]
+    fn scratch_dirs_are_unique_per_call() {
+        let a = unique_scratch_dir("sj-lint-scratch");
+        let b = unique_scratch_dir("sj-lint-scratch");
+        assert_ne!(a, b);
+    }
+}

@@ -296,17 +296,17 @@ fn thread_batch(t: usize, r: usize) -> Vec<Rect> {
         .collect()
 }
 
-/// The statistics directory the workload writes under — scoped by pid
-/// so parallel CI jobs cannot collide, and recreated fresh every run.
+/// The statistics directory the workload writes under — unique per
+/// call (pid + counter), so neither parallel CI jobs nor concurrent
+/// runs in one process can collide, and fresh every run.
 fn workload_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("sj-verify-locks-{}", std::process::id()))
+    crate::unique_scratch_dir("sj-verify-locks")
 }
 
 /// Runs the seeded concurrent workload against an in-process daemon
 /// with observe mode on, and returns the harvested event log.
 fn run_workload(rounds: usize) -> Result<Vec<LockEvent>, String> {
     let dir = workload_dir();
-    let _ = std::fs::remove_dir_all(&dir);
 
     let mut catalog = Catalog::with_level(4);
     catalog

@@ -688,11 +688,10 @@ fn sabotage(fault: RecoveryFault, dir: &Path) -> Result<(), String> {
     }
 }
 
-/// A scratch directory unique to this process and trial.
+/// A scratch directory unique to this trial (and to this call, so
+/// concurrent verifier runs in one process never collide).
 fn trial_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sj-verify-recovery-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    crate::unique_scratch_dir(&format!("sj-verify-recovery-{tag}"))
 }
 
 /// Runs one crash trial and judges its recovery.
@@ -882,6 +881,23 @@ mod tests {
         let a = run_verify_recovery(&small(None)).unwrap();
         let b = run_verify_recovery(&small(None)).unwrap();
         assert_eq!(a.trials, b.trials, "rule r1: identical run-to-run");
+    }
+
+    #[test]
+    fn concurrent_verifier_runs_do_not_share_scratch_directories() {
+        // Two instances in one process, as the parallel test runner
+        // schedules them: each must own its stores for the whole run.
+        let runs: Vec<_> = (0..2)
+            .map(|_| std::thread::spawn(|| run_verify_recovery(&small(None))))
+            .collect();
+        let reports: Vec<RecoveryReport> = runs
+            .into_iter()
+            .map(|r| r.join().expect("verifier thread").unwrap())
+            .collect();
+        for report in &reports {
+            assert!(report.is_clean(), "{}", report.render(Format::Human));
+        }
+        assert_eq!(reports[0].trials, reports[1].trials);
     }
 
     #[test]
