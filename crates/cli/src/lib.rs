@@ -55,8 +55,8 @@
 
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_core::{
-    build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram, presets,
-    Dataset, DatasetError, EulerHistogram, Extent, GhBasicHistogram, GhHistogram, Grid,
+    build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram, parallel_map,
+    presets, Dataset, DatasetError, EulerHistogram, Extent, GhBasicHistogram, GhHistogram, Grid,
     HistogramError, HistogramKind, JoinBaseline, Parallelism, PhHistogram, RTreeConfig, Rect,
     SpatialHistogram, ValidationPolicy,
 };
@@ -268,7 +268,7 @@ USAGE:
   sjsel merge-histogram A.hist B.hist [MORE.hist ...] --out FILE.hist
   sjsel estimate A.hist B.hist
   sjsel catalog-estimate A.csv B.csv [--kind K] [--level L]
-        [--stats-dir DIR] [--json] [--validate P]
+        [--stats-dir DIR] [--json] [--validate P] [--threads N]
         [--no-ph-rebuild] [--no-parametric] [--no-sampling]
         [--sample-percent F] [--ph-level L]
   sjsel exact-join A.csv B.csv [--backend rtree|sweep] [--threads N] [--validate P]
@@ -278,7 +278,7 @@ USAGE:
         [--validate P]
   sjsel compact BASE.hist DELTA.hdelta [MORE.hdelta ...] --out FILE.hist
   sjsel serve FILE.csv [MORE.csv ...] [--addr HOST:PORT] [--kind K] [--level L]
-        [--stats-dir DIR] [--validate P] [--ready-file PATH]
+        [--stats-dir DIR] [--validate P] [--threads N] [--ready-file PATH]
         [--max-connections N] [--io-timeout-ms MS]
   sjsel client --addr HOST:PORT [--timeout-ms MS] <ping|tables|shutdown>
   sjsel client --addr HOST:PORT estimate TABLE_A TABLE_B
@@ -421,6 +421,91 @@ fn load_dataset(
         ));
     }
     Ok(ds)
+}
+
+/// Loads every dataset file in `paths` under `policy`, one file per
+/// `parallel_map` worker. Datasets and their warnings come back in
+/// argument order; when several files fail, the error is the first
+/// failing path's, exactly as a one-by-one load would report it.
+fn load_tables(
+    paths: &[String],
+    policy: ValidationPolicy,
+    par: Parallelism,
+    warnings: &mut Vec<String>,
+) -> Result<Vec<Dataset>, CliError> {
+    let loaded = parallel_map(paths.iter().collect(), par, |path| {
+        let mut table_warnings = Vec::new();
+        load_dataset(path, policy, &mut table_warnings).map(|ds| (ds, table_warnings))
+    });
+    let mut datasets = Vec::with_capacity(loaded.len());
+    for result in loaded {
+        let (ds, table_warnings) = result?;
+        warnings.extend(table_warnings);
+        datasets.push(ds);
+    }
+    Ok(datasets)
+}
+
+/// What a `<stem>.base` compaction snapshot in `--stats-dir` means to a
+/// command that registers tables.
+#[derive(Clone, Copy)]
+enum OnSnapshot {
+    /// The snapshot folds mutations the dataset file never saw: build
+    /// fresh statistics from the file as given (the cold path).
+    Build,
+    /// Defer statistics to the statistics store, which installs the
+    /// snapshotted pair (the daemon).
+    Defer,
+}
+
+/// Registers loaded tables, `datasets[i]` read from `paths[i]`. A table
+/// whose `<stem>.hist` sits in `stats_dir` registers from those saved
+/// statistics, leniently: unusable statistics degrade its estimates and
+/// push a warning instead of failing. A `<stem>.base` snapshot is
+/// handled per `on_snapshot`. Every other table is built fresh, all of
+/// them in one [`Catalog::register_all`] batch on `par`.
+fn register_tables(
+    catalog: &mut Catalog,
+    paths: &[String],
+    datasets: Vec<Dataset>,
+    stats_dir: Option<&str>,
+    on_snapshot: OnSnapshot,
+    par: Parallelism,
+    warnings: &mut Vec<String>,
+) -> Result<(), CliError> {
+    let registration = |e: QueryError| CliError::from_query("registration failed", &e);
+    let mut fresh = Vec::new();
+    for (path, ds) in paths.iter().zip(datasets) {
+        let stem = table_name_for(path);
+        let saved = |ext: &str| {
+            stats_dir
+                .map(|dir| Path::new(dir).join(format!("{stem}.{ext}")))
+                .filter(|f| f.exists())
+        };
+        if saved("base").is_some() {
+            match on_snapshot {
+                OnSnapshot::Build => fresh.push(ds),
+                OnSnapshot::Defer => catalog.register_deferred(ds).map_err(registration)?,
+            }
+        } else if let Some(f) = saved("hist") {
+            let bytes = std::fs::read(&f)
+                .map_err(|e| CliError::io(format!("failed to read {}: {e}", f.display())))?;
+            let table = ds.name.clone();
+            let reason = catalog
+                .register_with_statistics_lenient(ds, &bytes)
+                .map_err(registration)?;
+            if let Some(reason) = reason {
+                warnings.push(format!(
+                    "statistics {} unusable for table {table:?}: {reason}; \
+                     estimation will degrade",
+                    f.display()
+                ));
+            }
+        } else {
+            fresh.push(ds);
+        }
+    }
+    catalog.register_all(fresh, par).map_err(registration)
 }
 
 fn cmd_generate(args: &[String]) -> Result<CliOutput, CliError> {
@@ -712,6 +797,7 @@ fn cmd_catalog_estimate(args: &[String]) -> Result<CliOutput, CliError> {
     let stats_dir = take_flag(&mut args, "--stats-dir")?;
     let json = take_switch(&mut args, "--json");
     let validate = take_validation(&mut args)?;
+    let par = take_threads(&mut args)?;
 
     let mut policy = DegradationPolicy::default();
     if take_switch(&mut args, "--no-ph-rebuild") {
@@ -735,20 +821,20 @@ fn cmd_catalog_estimate(args: &[String]) -> Result<CliOutput, CliError> {
             .map_err(|e| CliError::usage(format!("bad --ph-level: {e}")))?;
     }
 
-    let [a_path, b_path] = args.as_slice() else {
+    let [_, _] = args.as_slice() else {
         return Err(CliError::usage(
             "catalog-estimate takes exactly two dataset paths",
         ));
     };
 
     let mut warnings = Vec::new();
-    let mut a = load_dataset(a_path, validate, &mut warnings)?;
-    let mut b = load_dataset(b_path, validate, &mut warnings)?;
+    let mut datasets = load_tables(&args, validate, par, &mut warnings)?;
     // Joining a dataset file against itself is legitimate; keep the
     // catalog names unique.
-    a.name = format!("{}#a", a.name);
-    b.name = format!("{}#b", b.name);
-    let (name_a, name_b) = (a.name.clone(), b.name.clone());
+    for (ds, suffix) in datasets.iter_mut().zip(["#a", "#b"]) {
+        ds.name.push_str(suffix);
+    }
+    let (name_a, name_b) = (datasets[0].name.clone(), datasets[1].name.clone());
 
     let mut catalog = Catalog::try_new(CatalogConfig {
         kind,
@@ -756,51 +842,18 @@ fn cmd_catalog_estimate(args: &[String]) -> Result<CliOutput, CliError> {
         ..CatalogConfig::default()
     })
     .map_err(|e| CliError::from_query("bad catalog configuration", &e))?;
-
-    // Register each table: from saved statistics when --stats-dir holds a
-    // `<stem>.hist` for it (leniently — unusable statistics degrade the
-    // estimate instead of failing), from a fresh build otherwise. A
-    // `<stem>.base` compaction snapshot means the daemon has folded
+    // A `<stem>.base` compaction snapshot means the daemon has folded
     // mutations into that histogram, so it no longer describes the CSV;
     // this cold path estimates the CSVs as given and builds fresh.
-    for (path, ds) in [(a_path, a), (b_path, b)] {
-        let table = ds.name.clone();
-        let stem = Path::new(path).file_stem().map_or_else(
-            || "dataset".to_string(),
-            |s| s.to_string_lossy().into_owned(),
-        );
-        let snapshot = stats_dir
-            .as_ref()
-            .map(|dir| Path::new(dir).join(format!("{stem}.base")));
-        if snapshot.is_some_and(|f| f.exists()) {
-            catalog
-                .register(ds)
-                .map_err(|e| CliError::from_query("registration failed", &e))?;
-            continue;
-        }
-        let stats_file = stats_dir
-            .as_ref()
-            .map(|dir| Path::new(dir).join(format!("{stem}.hist")));
-        match stats_file {
-            Some(f) if f.exists() => {
-                let bytes = std::fs::read(&f)
-                    .map_err(|e| CliError::io(format!("failed to read {}: {e}", f.display())))?;
-                let reason = catalog
-                    .register_with_statistics_lenient(ds, &bytes)
-                    .map_err(|e| CliError::from_query("registration failed", &e))?;
-                if let Some(reason) = reason {
-                    warnings.push(format!(
-                        "statistics {} unusable for table {table:?}: {reason}; \
-                         estimation will degrade",
-                        f.display()
-                    ));
-                }
-            }
-            _ => catalog
-                .register(ds)
-                .map_err(|e| CliError::from_query("registration failed", &e))?,
-        }
-    }
+    register_tables(
+        &mut catalog,
+        &args,
+        datasets,
+        stats_dir.as_deref(),
+        OnSnapshot::Build,
+        par,
+        &mut warnings,
+    )?;
 
     let outcome = catalog
         .estimate_join_pairs_detailed(&name_a, &name_b, &policy)
@@ -857,19 +910,17 @@ fn cmd_exact_join(args: &[String]) -> Result<CliOutput, CliError> {
     let backend = take_flag(&mut args, "--backend")?.unwrap_or_else(|| "rtree".to_string());
     let par = take_threads(&mut args)?;
     let policy = take_validation(&mut args)?;
-    let [a_path, b_path] = args.as_slice() else {
+    let [_, _] = args.as_slice() else {
         return Err(CliError::usage("exact-join takes exactly two CSV paths"));
     };
     let mut warnings = Vec::new();
-    let (a, b) = (
-        load_dataset(a_path, policy, &mut warnings)?,
-        load_dataset(b_path, policy, &mut warnings)?,
-    );
+    let datasets = load_tables(&args, policy, par, &mut warnings)?;
+    let (a, b) = (&datasets[0], &datasets[1]);
     let baseline = match backend.as_str() {
-        "rtree" => JoinBaseline::compute_with_parallelism(&a, &b, RTreeConfig::default(), par),
+        "rtree" => JoinBaseline::compute_with_parallelism(a, b, RTreeConfig::default(), par),
         "sweep" => JoinBaseline::compute_with_backend_parallelism(
-            &a,
-            &b,
+            a,
+            b,
             sj_core::ExactBackend::PlaneSweep,
             par,
         ),
@@ -1033,6 +1084,7 @@ fn cmd_serve(args: &[String]) -> Result<CliOutput, CliError> {
     };
     let stats_dir = take_flag(&mut args, "--stats-dir")?;
     let validate = take_validation(&mut args)?;
+    let par = take_threads(&mut args)?;
     let ready_file = take_flag(&mut args, "--ready-file")?;
     let mut server_config = ServerConfig::default();
     if let Some(n) = take_positive(&mut args, "--max-connections")? {
@@ -1055,46 +1107,23 @@ fn cmd_serve(args: &[String]) -> Result<CliOutput, CliError> {
         ..CatalogConfig::default()
     })
     .map_err(|e| CliError::from_query("bad catalog configuration", &e))?;
-    for path in &args {
-        let mut ds = load_dataset(path, validate, &mut warnings)?;
-        let table = table_name_for(path);
-        ds.name.clone_from(&table);
-        // A compaction snapshot marks a table whose authoritative state
-        // lives in the statistics store (folded mutations mean the CSV
-        // and the saved histogram no longer agree): defer statistics and
-        // let open_stats_store below install the snapshotted pair.
-        let snapshot = stats_dir
-            .as_ref()
-            .map(|dir| Path::new(dir).join(format!("{table}.base")));
-        if snapshot.is_some_and(|f| f.exists()) {
-            catalog
-                .register_deferred(ds)
-                .map_err(|e| CliError::from_query("registration failed", &e))?;
-            continue;
-        }
-        let stats_file = stats_dir
-            .as_ref()
-            .map(|dir| Path::new(dir).join(format!("{table}.hist")));
-        match stats_file {
-            Some(f) if f.exists() => {
-                let bytes = std::fs::read(&f)
-                    .map_err(|e| CliError::io(format!("failed to read {}: {e}", f.display())))?;
-                let reason = catalog
-                    .register_with_statistics_lenient(ds, &bytes)
-                    .map_err(|e| CliError::from_query("registration failed", &e))?;
-                if let Some(reason) = reason {
-                    warnings.push(format!(
-                        "statistics {} unusable for table {table:?}: {reason}; \
-                         estimation will degrade",
-                        f.display()
-                    ));
-                }
-            }
-            _ => catalog
-                .register(ds)
-                .map_err(|e| CliError::from_query("registration failed", &e))?,
-        }
+    let mut datasets = load_tables(&args, validate, par, &mut warnings)?;
+    for (path, ds) in args.iter().zip(&mut datasets) {
+        ds.name = table_name_for(path);
     }
+    // A compaction snapshot marks a table whose authoritative state
+    // lives in the statistics store (folded mutations mean the CSV and
+    // the saved histogram no longer agree): defer statistics and let
+    // open_stats_store below install the snapshotted pair.
+    register_tables(
+        &mut catalog,
+        &args,
+        datasets,
+        stats_dir.as_deref(),
+        OnSnapshot::Defer,
+        par,
+        &mut warnings,
+    )?;
 
     // With a statistics directory the daemon keeps a per-table
     // write-ahead delta log there: mutations survive a crash and are
@@ -1509,6 +1538,8 @@ mod tests {
                 &tmp("t0.hist"),
             ]),
             argv(&["exact-join", &csv, &csv, "--threads", "0"]),
+            argv(&["catalog-estimate", &csv, &csv, "--threads", "0"]),
+            argv(&["serve", &csv, "--addr", "127.0.0.1:0", "--threads", "0"]),
         ] {
             let err = run(&cmd).unwrap_err();
             assert_eq!(err.code, exit_code::USAGE, "{}", err.message);
@@ -1772,6 +1803,170 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, exit_code::EXHAUSTED, "{}", err.message);
         assert!(err.message.contains("corrupt"), "{}", err.message);
+    }
+
+    /// Two generated tables for the ingest tests, under `prefix`.
+    fn ingest_tables(prefix: &str) -> (String, String) {
+        let a = tmp(&format!("{prefix}_a.csv"));
+        let b = tmp(&format!("{prefix}_b.csv"));
+        run(&argv(&["generate", "scrc", "--scale", "0.01", "--out", &a])).unwrap();
+        run(&argv(&["generate", "sura", "--scale", "0.01", "--out", &b])).unwrap();
+        (a, b)
+    }
+
+    #[test]
+    fn ingest_answers_are_identical_at_every_thread_count() {
+        let (a, b) = ingest_tables("ingest_threads");
+        for extra in [&[][..], &["--json"][..]] {
+            let answer = |threads: &str| {
+                let mut cmd = argv(&["catalog-estimate", &a, &b, "--level", "5"]);
+                cmd.extend(argv(extra));
+                cmd.extend(argv(&["--threads", threads]));
+                run(&cmd).unwrap()
+            };
+            let (one, two) = (answer("1"), answer("2"));
+            assert_eq!(one.stdout, two.stdout, "{extra:?}");
+            assert_eq!(one.warnings, two.warnings, "{extra:?}");
+        }
+        let pairs = |threads: &str| {
+            let out = run(&argv(&["exact-join", &a, &b, "--threads", threads])).unwrap();
+            out.lines().next().unwrap().to_string()
+        };
+        assert_eq!(pairs("1"), pairs("2"));
+    }
+
+    #[test]
+    fn ingest_reports_the_first_paths_error() {
+        let bad = tmp("ingest_first_bad_line.csv");
+        std::fs::write(&bad, "0,0,1,1\n0.1,0.2,oops,0.4\n").unwrap();
+        let missing = tmp("ingest_first_missing.csv");
+        std::fs::remove_file(&missing).ok();
+        for threads in ["1", "2"] {
+            for (first, second, code) in [
+                (&bad, &missing, exit_code::INVALID_DATA),
+                (&missing, &bad, exit_code::IO),
+            ] {
+                for cmd in [
+                    argv(&["catalog-estimate", first, second]),
+                    argv(&["exact-join", first, second]),
+                    argv(&["serve", first, second, "--addr", "127.0.0.1:0"]),
+                ] {
+                    let mut cmd = cmd;
+                    cmd.extend(argv(&["--threads", threads]));
+                    let err = run(&cmd).unwrap_err();
+                    assert_eq!(err.code, code, "{cmd:?}: {}", err.message);
+                    assert!(
+                        err.message.contains(first.as_str()),
+                        "{cmd:?}: {}",
+                        err.message
+                    );
+                    assert!(!err.message.contains(second.as_str()), "{}", err.message);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_warnings_follow_argument_order() {
+        let one = tmp("ingest_order_one.csv");
+        std::fs::write(&one, "0,0,0.5,0.5\n0.9,0.0,0.1,1.0\nnan,0,1,1\n").unwrap();
+        let two = tmp("ingest_order_two.csv");
+        std::fs::write(&two, "0.2,0.2,0.6,0.6\n0.5,0.5,0.4,0.7\n").unwrap();
+        let three = tmp("ingest_order_three.csv");
+        std::fs::write(&three, "0.1,0.1,0.3,0.3\ninf,0,1,1\n").unwrap();
+        let warning = |path: &str, repaired, dropped, checked| {
+            format!(
+                "{path}: {repaired} record(s) repaired, {dropped} dropped of \
+                 {checked} checked (--validate repair)"
+            )
+        };
+        let (w1, w2, w3) = (
+            warning(&one, 1, 1, 3),
+            warning(&two, 1, 0, 2),
+            warning(&three, 0, 1, 2),
+        );
+        for threads in ["1", "2", "3"] {
+            for (first, second, want) in [
+                (&one, &two, vec![w1.clone(), w2.clone()]),
+                (&two, &one, vec![w2.clone(), w1.clone()]),
+            ] {
+                for cmd in ["catalog-estimate", "exact-join"] {
+                    let out = run(&argv(&[
+                        cmd,
+                        first,
+                        second,
+                        "--validate",
+                        "repair",
+                        "--threads",
+                        threads,
+                    ]))
+                    .unwrap();
+                    assert_eq!(out.warnings, want, "{cmd} at {threads} threads");
+                }
+            }
+            // The loader `serve` uses, over more tables than workers.
+            let mut warnings = Vec::new();
+            let paths = [three.clone(), one.clone(), two.clone()];
+            let par = Parallelism::saturating_new(threads.parse().unwrap());
+            let datasets =
+                load_tables(&paths, ValidationPolicy::Repair, par, &mut warnings).unwrap();
+            assert_eq!(warnings, [w3.clone(), w1.clone(), w2.clone()]);
+            let lens: Vec<usize> = datasets.iter().map(Dataset::len).collect();
+            assert_eq!(lens, [1, 2, 2]);
+        }
+    }
+
+    #[test]
+    fn ingest_keeps_corrupt_statistics_warnings_unchanged() {
+        let (a, b) = ingest_tables("ingest_corrupt");
+        let stats_dir = tmp("ingest_corrupt_stats");
+        std::fs::create_dir_all(&stats_dir).unwrap();
+        let a_hist = format!("{stats_dir}/ingest_corrupt_a.hist");
+        for (csv, hist) in [
+            (&a, &a_hist),
+            (&b, &format!("{stats_dir}/ingest_corrupt_b.hist")),
+        ] {
+            run(&argv(&[
+                "build-histogram",
+                csv,
+                "--level",
+                "4",
+                "--out",
+                hist,
+            ]))
+            .unwrap();
+        }
+        let mut bytes = std::fs::read(&a_hist).unwrap();
+        bytes[2] ^= 0x20;
+        std::fs::write(&a_hist, &bytes).unwrap();
+
+        let reason = "estimation failed: corrupt histogram file (header section): bad magic";
+        let want = [
+            format!(
+                "statistics {a_hist} unusable for table \"ingest_corrupt_a#a\": {reason}; \
+                 estimation will degrade"
+            ),
+            format!(
+                "estimate degraded to the ph-rebuild tier \
+                 (primary: table \"ingest_corrupt_a#a\": {reason})"
+            ),
+        ];
+        for threads in ["1", "2"] {
+            let out = run(&argv(&[
+                "catalog-estimate",
+                &a,
+                &b,
+                "--level",
+                "4",
+                "--stats-dir",
+                &stats_dir,
+                "--threads",
+                threads,
+            ]))
+            .unwrap();
+            assert_eq!(out.warnings, want, "at {threads} threads");
+            assert!(out.contains("tier ph-rebuild"), "{out}");
+        }
     }
 
     #[test]

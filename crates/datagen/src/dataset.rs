@@ -133,39 +133,11 @@ impl Dataset {
         out.flush()
     }
 
-    /// Reads a dataset from CSV written by [`Dataset::write_csv`]. The
-    /// extent is recomputed from the data.
-    ///
-    /// # Errors
-    /// Returns `InvalidData` on malformed lines and propagates I/O errors.
-    pub fn read_csv<R: BufRead>(name: impl Into<String>, r: R) -> io::Result<Self> {
-        let mut rects = Vec::new();
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let lineno = i + 1;
-            let (xlo, ylo, xhi, yhi) = parse_csv_fields(lineno, &line).map_err(io::Error::from)?;
-            for (field, v) in CSV_FIELDS.iter().zip([xlo, ylo, xhi, yhi]) {
-                if !v.is_finite() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("line {lineno}, field {field}: non-finite coordinate"),
-                    ));
-                }
-            }
-            rects.push(Rect::new(xlo, ylo, xhi, yhi));
-        }
-        let extent = Extent::of_rects(&rects).unwrap_or_else(Extent::unit);
-        Ok(Self::new(name, extent, rects))
-    }
-
     /// Reads a CSV dataset under a [`ValidationPolicy`], optionally
-    /// checking every record against a declared `extent`. Unlike
-    /// [`Dataset::read_csv`], inverted raw corners are *detected* (not
-    /// silently reordered), and an input with no surviving records is an
-    /// explicit [`DatasetError::Empty`].
+    /// checking every record against a declared `extent`. Inverted raw
+    /// corners are *detected* (not silently reordered), and an input with
+    /// no surviving records is an explicit [`DatasetError::Empty`]. Reads
+    /// back what [`Dataset::write_csv`] writes, bit for bit.
     ///
     /// # Errors
     /// [`DatasetError::Parse`] names the line and field of malformed
@@ -249,19 +221,6 @@ impl Dataset {
         let mut f = std::fs::File::create(path)?;
         self.write_csv(&mut f)
     }
-
-    /// Loads a dataset from a CSV file, naming it after the file stem.
-    ///
-    /// # Errors
-    /// Propagates file-open and parse errors.
-    pub fn load_csv(path: &Path) -> io::Result<Self> {
-        let name = path.file_stem().map_or_else(
-            || "dataset".to_string(),
-            |s| s.to_string_lossy().into_owned(),
-        );
-        let f = std::fs::File::open(path)?;
-        Self::read_csv(name, io::BufReader::new(f))
-    }
 }
 
 #[cfg(test)]
@@ -300,26 +259,35 @@ mod tests {
         assert_eq!(s.coverage, 0.0);
     }
 
+    /// [`Dataset::read_csv_validated`] under the strict policy with no
+    /// declared extent: the reading every command uses.
+    fn read_strict(input: &[u8]) -> Result<Dataset, DatasetError> {
+        Dataset::read_csv_validated("x", input, ValidationPolicy::Strict, None).map(|(ds, _)| ds)
+    }
+
     #[test]
     fn csv_roundtrip_preserves_bits() {
         let ds = sample();
         let mut buf = Vec::new();
         ds.write_csv(&mut buf).unwrap();
-        let back = Dataset::read_csv("sample", &buf[..]).unwrap();
+        let back = read_strict(&buf).unwrap();
         assert_eq!(back.rects, ds.rects);
     }
 
     #[test]
     fn csv_rejects_garbage() {
-        let err = Dataset::read_csv("x", "1.0,2.0,oops,4.0\n".as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains("line 1") && err.to_string().contains("field xhi"),
-            "error must name line and field: {err}"
-        );
-        let err = Dataset::read_csv("x", "1.0,2.0\n".as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("field xhi"), "{err}");
+        for input in [&b"1.0,2.0,oops,4.0\n"[..], b"1.0,2.0\n"] {
+            let err = read_strict(input).unwrap_err();
+            let named = matches!(
+                err,
+                DatasetError::Parse {
+                    line: 1,
+                    field: "xhi",
+                    ..
+                }
+            );
+            assert!(named, "error must name line and field: {err}");
+        }
     }
 
     #[test]
@@ -409,7 +377,7 @@ mod tests {
 
     #[test]
     fn csv_skips_blank_lines() {
-        let ds = Dataset::read_csv("x", "\n0,0,1,1\n\n".as_bytes()).unwrap();
+        let ds = read_strict(b"\n0,0,1,1\n\n").unwrap();
         assert_eq!(ds.len(), 1);
     }
 
@@ -430,15 +398,15 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("sj_datagen_test");
+        let dir = std::env::temp_dir().join(format!("sj_datagen_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.csv");
         let ds = sample();
         ds.save_csv(&path).unwrap();
-        let back = Dataset::load_csv(&path).unwrap();
+        let (back, _) = Dataset::load_csv_validated(&path, ValidationPolicy::Strict, None).unwrap();
         assert_eq!(back.name, "sample");
         assert_eq!(back.rects, ds.rects);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

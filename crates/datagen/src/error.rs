@@ -64,12 +64,3 @@ impl From<io::Error> for DatasetError {
         Self::Io(e)
     }
 }
-
-impl From<DatasetError> for io::Error {
-    fn from(e: DatasetError) -> Self {
-        match e {
-            DatasetError::Io(inner) => inner,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}

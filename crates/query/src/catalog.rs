@@ -1,6 +1,7 @@
 use crate::degrade::{DegradationPolicy, EstimateOutcome, EstimateTier, SkippedTier};
 use crate::error::QueryError;
 use crate::plan::{ChainJoinQuery, Plan, Planner};
+use sj_core::{parallel_map, Parallelism};
 use sj_datagen::Dataset;
 use sj_geo::{Extent, Rect};
 use sj_histogram::{
@@ -10,7 +11,7 @@ use sj_histogram::{
 use sj_rtree::{RTree, RTreeConfig};
 use sj_sampling::{SamplingEstimator, SamplingTechnique};
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 /// Catalog configuration.
@@ -156,23 +157,52 @@ impl Catalog {
     }
 
     /// Registers a dataset under its own name, building its histogram
-    /// file.
+    /// file. The one-table case of [`Catalog::register_all`].
     ///
     /// # Errors
     /// Returns [`QueryError::DuplicateTable`] if the name is taken.
     pub fn register(&mut self, dataset: Dataset) -> Result<(), QueryError> {
-        if self.tables.contains_key(&dataset.name) {
-            return Err(QueryError::DuplicateTable(dataset.name.clone()));
+        self.register_all(vec![dataset], Parallelism::serial())
+    }
+
+    /// Registers a batch of datasets under their own names, building
+    /// each table's histogram file on its own `parallel_map` worker.
+    /// Every histogram is the same serial build [`Catalog::register`]
+    /// makes, so the statistics are bit-identical at every thread count.
+    ///
+    /// All names are checked before anything is built: a name that is
+    /// already registered, or repeated within the batch, fails the whole
+    /// batch and registers nothing.
+    ///
+    /// # Errors
+    /// Returns [`QueryError::DuplicateTable`] naming the first clashing
+    /// dataset in batch order.
+    pub fn register_all(
+        &mut self,
+        datasets: Vec<Dataset>,
+        par: Parallelism,
+    ) -> Result<(), QueryError> {
+        let mut batch = BTreeSet::new();
+        for ds in &datasets {
+            if self.tables.contains_key(&ds.name) || !batch.insert(ds.name.as_str()) {
+                return Err(QueryError::DuplicateTable(ds.name.clone()));
+            }
         }
-        let histogram = build_histogram(self.config.kind, self.grid, &dataset.rects);
-        self.tables.insert(
-            dataset.name.clone(),
-            Table {
-                dataset,
-                stats: StatsState::Ready(histogram),
-                rtree: OnceLock::new(),
-            },
-        );
+        let (kind, grid) = (self.config.kind, self.grid);
+        let built = parallel_map(datasets, par, |dataset| {
+            let histogram = build_histogram(kind, grid, &dataset.rects);
+            (dataset, histogram)
+        });
+        for (dataset, histogram) in built {
+            self.tables.insert(
+                dataset.name.clone(),
+                Table {
+                    dataset,
+                    stats: StatsState::Ready(histogram),
+                    rtree: OnceLock::new(),
+                },
+            );
+        }
         Ok(())
     }
 

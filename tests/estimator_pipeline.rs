@@ -4,7 +4,8 @@
 
 use sj_core::experiment::{fig6_rows, fig7_rows, JoinContext};
 use sj_core::{
-    presets, EstimatorKind, Extent, GhHistogram, Grid, JoinBaseline, PhHistogram, SamplingTechnique,
+    presets, EstimatorKind, Extent, GhHistogram, Grid, JoinBaseline, PhHistogram,
+    SamplingTechnique, ValidationPolicy,
 };
 
 fn ctx() -> JoinContext {
@@ -156,6 +157,8 @@ fn dataset_csv_roundtrip_preserves_estimates() {
     let (a, _) = presets::PaperJoin::ScrcSura.datasets(0.005);
     let mut buf = Vec::new();
     a.write_csv(&mut buf).unwrap();
-    let a2 = sj_core::Dataset::read_csv("SCRC", &buf[..]).unwrap();
+    let (a2, _) =
+        sj_core::Dataset::read_csv_validated("SCRC", &buf[..], ValidationPolicy::Strict, None)
+            .unwrap();
     assert_eq!(a.rects, a2.rects);
 }

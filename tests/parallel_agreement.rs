@@ -9,9 +9,10 @@
 
 use proptest::prelude::*;
 use sj_core::{
-    presets, EulerHistogram, Extent, GhBasicHistogram, GhHistogram, Grid, PhHistogram, RTree,
-    RTreeConfig, Rect,
+    presets, Dataset, EulerHistogram, Extent, GhBasicHistogram, GhHistogram, Grid, HistogramKind,
+    Parallelism, PhHistogram, RTree, RTreeConfig, Rect,
 };
+use sj_query::{Catalog, QueryError};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -286,5 +287,98 @@ fn preset_extents_round_trip_through_grid() {
     let serial = GhHistogram::build(grid, &a.rects);
     for threads in THREAD_COUNTS {
         assert_eq!(GhHistogram::build_parallel(grid, &a.rects, threads), serial);
+    }
+}
+
+/// The eight preset tables at a small scale plus an empty one: the batch
+/// a daemon boot registers.
+fn ingest_batch() -> Vec<Dataset> {
+    let mut batch: Vec<Dataset> = presets::ALL_JOINS
+        .iter()
+        .flat_map(|join| {
+            let (a, b) = join.datasets(0.01);
+            [a, b]
+        })
+        .collect();
+    batch.push(Dataset::new("empty", Extent::unit(), vec![]));
+    batch
+}
+
+/// Every table's statistics, in name order, as persisted bytes.
+fn persisted(catalog: &Catalog) -> Vec<(String, Vec<u8>)> {
+    catalog
+        .table_names()
+        .into_iter()
+        .map(|name| {
+            let hist = catalog
+                .histogram(name)
+                .expect("registered table has statistics");
+            (name.to_string(), hist.persist().to_vec())
+        })
+        .collect()
+}
+
+#[test]
+fn register_all_is_bit_identical_to_sequential_register() {
+    let batch = ingest_batch();
+    for kind in HistogramKind::ALL {
+        for level in [3u32, 7] {
+            let mut sequential = Catalog::with_kind(kind, level);
+            for ds in batch.clone() {
+                sequential.register(ds).expect("distinct names");
+            }
+            let want = persisted(&sequential);
+            // Sequential registration is the plain serial build.
+            let mut direct: Vec<(String, Vec<u8>)> = batch
+                .iter()
+                .map(|ds| {
+                    let hist = sj_core::build_histogram(kind, unit_grid(level), &ds.rects);
+                    (ds.name.clone(), hist.persist().to_vec())
+                })
+                .collect();
+            direct.sort();
+            assert!(want == direct, "{kind} level {level}: register diverged");
+            for threads in THREAD_COUNTS {
+                let mut batched = Catalog::with_kind(kind, level);
+                batched
+                    .register_all(batch.clone(), Parallelism::saturating_new(threads))
+                    .expect("distinct names");
+                assert!(
+                    persisted(&batched) == want,
+                    "{kind} level {level}: register_all at {threads} threads diverged"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn register_all_duplicates_register_nothing() {
+    let table =
+        |name: &str| Dataset::new(name, Extent::unit(), vec![Rect::new(0.1, 0.1, 0.2, 0.2)]);
+    for threads in THREAD_COUNTS {
+        let par = Parallelism::saturating_new(threads);
+        let mut catalog = Catalog::with_level(3);
+        catalog.register(table("kept")).expect("fresh catalog");
+
+        // A name repeated within the batch.
+        let err = catalog
+            .register_all(vec![table("a"), table("b"), table("a")], par)
+            .unwrap_err();
+        assert!(
+            matches!(&err, QueryError::DuplicateTable(n) if n == "a"),
+            "{err}"
+        );
+        assert_eq!(catalog.table_names(), vec!["kept"]);
+
+        // A name already registered, behind fresh ones in the batch.
+        let err = catalog
+            .register_all(vec![table("c"), table("kept")], par)
+            .unwrap_err();
+        assert!(
+            matches!(&err, QueryError::DuplicateTable(n) if n == "kept"),
+            "{err}"
+        );
+        assert_eq!(catalog.table_names(), vec!["kept"]);
     }
 }
