@@ -57,8 +57,8 @@ use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_core::{
     build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram, parallel_map,
     presets, Dataset, DatasetError, EulerHistogram, Extent, GhBasicHistogram, GhHistogram, Grid,
-    HistogramError, HistogramKind, JoinBaseline, Parallelism, PhHistogram, RTreeConfig, Rect,
-    SpatialHistogram, ValidationPolicy,
+    HistogramError, HistogramKind, JoinBaseline, Parallelism, PhHistogram, Rect, SpatialHistogram,
+    ValidationPolicy,
 };
 use sj_query::{Catalog, CatalogConfig, CompactionPolicy, DegradationPolicy, QueryError};
 use sj_server::{CatalogService, Client, ClientError, RemoteOutcome, Server, ServerConfig};
@@ -907,7 +907,12 @@ fn cmd_merge_histogram(args: &[String]) -> Result<CliOutput, CliError> {
 
 fn cmd_exact_join(args: &[String]) -> Result<CliOutput, CliError> {
     let mut args = args.to_vec();
-    let backend = take_flag(&mut args, "--backend")?.unwrap_or_else(|| "rtree".to_string());
+    // Every flag is validated before the (possibly large) inputs load.
+    let backend = match take_flag(&mut args, "--backend")?.as_deref() {
+        None | Some("rtree") => sj_core::ExactBackend::RTree,
+        Some("sweep") => sj_core::ExactBackend::PlaneSweep,
+        Some(other) => return Err(CliError::usage(format!("unknown backend {other:?}"))),
+    };
     let par = take_threads(&mut args)?;
     let policy = take_validation(&mut args)?;
     let [_, _] = args.as_slice() else {
@@ -915,17 +920,8 @@ fn cmd_exact_join(args: &[String]) -> Result<CliOutput, CliError> {
     };
     let mut warnings = Vec::new();
     let datasets = load_tables(&args, policy, par, &mut warnings)?;
-    let (a, b) = (&datasets[0], &datasets[1]);
-    let baseline = match backend.as_str() {
-        "rtree" => JoinBaseline::compute_with_parallelism(a, b, RTreeConfig::default(), par),
-        "sweep" => JoinBaseline::compute_with_backend_parallelism(
-            a,
-            b,
-            sj_core::ExactBackend::PlaneSweep,
-            par,
-        ),
-        other => return Err(CliError::usage(format!("unknown backend {other:?}"))),
-    };
+    let baseline =
+        JoinBaseline::compute_with_backend_parallelism(&datasets[0], &datasets[1], backend, par);
     Ok(CliOutput::with_warnings(
         format!(
             "pairs {}\nselectivity {:.6e}\njoin time {:?}",
@@ -1517,6 +1513,22 @@ mod tests {
                 .code,
             exit_code::IO
         );
+    }
+
+    #[test]
+    fn exact_join_rejects_a_bad_backend_before_loading() {
+        // The backend is checked before any input is read: a missing
+        // path does not turn a usage error into an I/O error.
+        let err = run(&argv(&[
+            "exact-join",
+            "/nonexistent/a.csv",
+            "/nonexistent/b.csv",
+            "--backend",
+            "bogus",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.code, exit_code::USAGE, "{}", err.message);
+        assert!(err.message.contains("unknown backend"), "{}", err.message);
     }
 
     #[test]

@@ -110,13 +110,13 @@ impl JoinBaseline {
                 // sj-lint: allow(determinism, wall-clock measures reported join cost, never join input)
                 let t0 = Instant::now();
                 // Partition-based parallel plane sweep: tile the joint
-                // extent, sweep tiles independently through the shared
-                // `parallel_map` pool, dedup by reference point. Pair
-                // counts are integers, so the result is identical to the
-                // serial sweep at every thread count.
-                let plan = sj_sweep::tile_sweep(&left.rects, &right.rects, 4 * par.threads());
-                let tiles = plan.into_tiles();
-                let pairs: u64 = crate::parallel_map(tiles, par, |tile| tile.count())
+                // extent on a grid sized from the data, sweep tiles
+                // independently through the shared `parallel_map` pool,
+                // dedup by reference point. The plan ignores `par`, and
+                // pair counts are integers, so the result is identical to
+                // the serial sweep at every thread count.
+                let mut plan = sj_sweep::tile_sweep(&left.rects, &right.rects);
+                let pairs: u64 = crate::parallel_map(plan.tiles(), par, sj_sweep::SweepTile::count)
                     .into_iter()
                     .sum();
                 let join_time = t0.elapsed();

@@ -257,21 +257,20 @@ impl RowBanded for GhBasicHistogram {
             if (lo..hi).contains(&r0) {
                 n += 1;
             }
-            for corner in r.corners() {
-                let (col, row) = grid.cell_of_point(corner);
+            // Corners, edges and the block share `cell_range`'s indices:
+            // the same `col_of`/`row_of` calls, computed once.
+            for (col, row) in [(c0, r0), (c0, r1), (c1, r0), (c1, r1)] {
                 if (lo..hi).contains(&row) {
                     c[grid.flat_index(col, row)] += 1;
                 }
             }
             crate::kernel::bin_count_block(&bg, (c0, c1), (r0.max(lo), r1.min(hi - 1)), &mut i);
             // Two vertical edges: each occupies one column, rows r0..=r1.
-            for edge in r.v_edges() {
-                let col = grid.col_of(edge.x);
+            for col in [c0, c1] {
                 crate::kernel::bin_count_col(&bg, col, (r0.max(lo), r1.min(hi - 1)), &mut v);
             }
             // Two horizontal edges: each occupies one row, cols c0..=c1.
-            for edge in r.h_edges() {
-                let row = grid.row_of(edge.y);
+            for row in [r0, r1] {
                 if (lo..hi).contains(&row) {
                     crate::kernel::bin_count_row(&bg, (c0, c1), row, &mut h);
                 }
@@ -688,22 +687,21 @@ impl RowBanded for GhHistogram {
             if (lo..hi).contains(&r0) {
                 n += 1;
             }
-            for corner in r.corners() {
-                let (col, row) = grid.cell_of_point(corner);
+            // Corners, edges and the block share `cell_range`'s indices:
+            // the same `col_of`/`row_of` calls, computed once.
+            for (col, row) in [(c0, r0), (c0, r1), (c1, r0), (c1, r1)] {
                 if (lo..hi).contains(&row) {
                     c[grid.flat_index(col, row)] += 1;
                 }
             }
             crate::kernel::bin_gh_overlap(&bg, r, (c0, c1), (r0.max(lo), r1.min(hi - 1)), &mut o);
-            for edge in r.h_edges() {
-                let row = grid.row_of(edge.y);
+            for (edge, row) in r.h_edges().iter().zip([r0, r1]) {
                 if (lo..hi).contains(&row) {
-                    crate::kernel::bin_gh_hedge(&bg, &edge, (c0, c1), row, &mut h);
+                    crate::kernel::bin_gh_hedge(&bg, edge, (c0, c1), row, &mut h);
                 }
             }
-            for edge in r.v_edges() {
-                let col = grid.col_of(edge.x);
-                crate::kernel::bin_gh_vedge(&bg, &edge, col, (r0.max(lo), r1.min(hi - 1)), &mut v);
+            for (edge, col) in r.v_edges().iter().zip([c0, c1]) {
+                crate::kernel::bin_gh_vedge(&bg, edge, col, (r0.max(lo), r1.min(hi - 1)), &mut v);
             }
         }
         Self {
