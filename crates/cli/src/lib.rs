@@ -1348,9 +1348,14 @@ mod tests {
         parts.iter().map(|s| (*s).to_string()).collect()
     }
 
+    /// A path in this test process's own scratch directory.
     fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("sjsel_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        static DIR: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+        let dir = DIR.get_or_init(|| {
+            let dir = sj_lint::unique_scratch_dir("sjsel_tests");
+            std::fs::create_dir_all(&dir).unwrap();
+            dir
+        });
         dir.join(name).to_string_lossy().into_owned()
     }
 
@@ -2538,9 +2543,14 @@ mod format_tests {
         parts.iter().map(|s| (*s).to_string()).collect()
     }
 
+    /// A path in this test process's own scratch directory.
     fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("sjsel_format_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        static DIR: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+        let dir = DIR.get_or_init(|| {
+            let dir = sj_lint::unique_scratch_dir("sjsel_format_tests");
+            std::fs::create_dir_all(&dir).unwrap();
+            dir
+        });
         dir.join(name).to_string_lossy().into_owned()
     }
 
@@ -2566,6 +2576,24 @@ mod format_tests {
         .unwrap();
         let out = run(&argv(&["exact-join", &bin, &bin])).unwrap();
         assert!(out.contains("pairs"), "{out}");
+    }
+
+    /// A `.bin` header whose record count wraps `count * 32` to the real
+    /// payload size is a typed I/O error, not an allocation panic.
+    #[test]
+    fn binary_dataset_with_an_overflowing_count_is_an_io_error() {
+        let bin = tmp("evil.bin");
+        let mut bytes = b"SJDS\x01".to_vec();
+        bytes.extend_from_slice(&((1u64 << 59) + 1).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 32]);
+        std::fs::write(&bin, bytes).unwrap();
+        let err = run(&argv(&["stats", &bin])).unwrap_err();
+        assert_eq!(err.code, exit_code::IO, "{}", err.message);
+        assert!(
+            err.message.contains("payload size mismatch"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

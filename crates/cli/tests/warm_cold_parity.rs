@@ -8,14 +8,20 @@
 
 use sj_cli::run;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 fn argv(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| (*s).to_string()).collect()
 }
 
+/// A path in this test process's own scratch directory.
 fn tmp(name: &str) -> String {
-    let dir = std::env::temp_dir().join("sjsel_parity_tests");
-    std::fs::create_dir_all(&dir).unwrap();
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    let dir = DIR.get_or_init(|| {
+        let dir = sj_lint::unique_scratch_dir("sjsel_parity_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    });
     dir.join(name).to_string_lossy().into_owned()
 }
 

@@ -1,31 +1,11 @@
-use crate::DatasetError;
-use sj_geo::{apply_policy, Extent, Rect, Validated, ValidationPolicy, ValidationReport};
+use crate::{csv, DatasetError};
+use sj_geo::{Extent, Rect, ValidationPolicy, ValidationReport};
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
 
-/// Field names of one CSV record, in column order.
-const CSV_FIELDS: [&str; 4] = ["xlo", "ylo", "xhi", "yhi"];
-
-/// Parses the four corner fields of one CSV record, naming the offending
-/// field on failure. Extra trailing fields are ignored for compatibility
-/// with annotated exports.
-fn parse_csv_fields(lineno: usize, line: &str) -> Result<(f64, f64, f64, f64), DatasetError> {
-    let mut parts = line.split(',');
-    let mut vals = [0.0f64; 4];
-    for (i, field) in CSV_FIELDS.iter().enumerate() {
-        let raw = parts.next().ok_or_else(|| DatasetError::Parse {
-            line: lineno,
-            field,
-            detail: "missing field (expected 4 comma-separated values)".to_string(),
-        })?;
-        vals[i] = raw.trim().parse::<f64>().map_err(|e| DatasetError::Parse {
-            line: lineno,
-            field,
-            detail: format!("{e} (got {:?})", raw.trim()),
-        })?;
-    }
-    Ok((vals[0], vals[1], vals[2], vals[3]))
-}
+/// Read-buffer size for CSV files: large enough that the per-buffer
+/// ASCII check and line splitting run over long runs of lines.
+const CSV_BUF_BYTES: usize = 64 << 10;
 
 /// A named collection of MBRs living in an extent.
 #[derive(Debug, Clone)]
@@ -139,45 +119,24 @@ impl Dataset {
     /// no surviving records is an explicit [`DatasetError::Empty`]. Reads
     /// back what [`Dataset::write_csv`] writes, bit for bit.
     ///
+    /// One streaming pass over `r`'s buffer: plain `-?d+(.d+)?` records
+    /// are scanned and converted in place, every other line is parsed
+    /// exactly as a `BufRead::lines` loop would parse it (DESIGN.md §9.1).
+    ///
     /// # Errors
     /// [`DatasetError::Parse`] names the line and field of malformed
     /// input; [`DatasetError::Invalid`] is returned under
     /// [`ValidationPolicy::Strict`] for geometric defects;
-    /// [`DatasetError::Empty`] when nothing survives validation.
+    /// [`DatasetError::Io`] for read errors and non-UTF-8 lines;
+    /// [`DatasetError::Empty`] when nothing survives validation. The
+    /// first failing line's error wins.
     pub fn read_csv_validated<R: BufRead>(
         name: impl Into<String>,
         r: R,
         policy: ValidationPolicy,
         extent: Option<Extent>,
     ) -> Result<(Self, ValidationReport), DatasetError> {
-        let mut rects = Vec::new();
-        let mut report = ValidationReport::default();
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let lineno = i + 1;
-            let raw = parse_csv_fields(lineno, &line)?;
-            report.checked += 1;
-            match apply_policy(policy, raw, extent.as_ref()) {
-                Ok(Validated::Accepted(rect)) => {
-                    report.accepted += 1;
-                    rects.push(rect);
-                }
-                Ok(Validated::Repaired(rect)) => {
-                    report.repaired += 1;
-                    rects.push(rect);
-                }
-                Ok(Validated::Skipped(_)) => report.skipped += 1,
-                Err(issue) => {
-                    return Err(DatasetError::Invalid {
-                        line: lineno,
-                        issue,
-                    })
-                }
-            }
-        }
+        let (rects, report) = csv::read_records(r, policy, extent.as_ref())?;
         if rects.is_empty() {
             return Err(DatasetError::Empty);
         }
@@ -210,7 +169,12 @@ impl Dataset {
             |s| s.to_string_lossy().into_owned(),
         );
         let f = std::fs::File::open(path)?;
-        Self::read_csv_validated(name, io::BufReader::new(f), policy, extent)
+        Self::read_csv_validated(
+            name,
+            io::BufReader::with_capacity(CSV_BUF_BYTES, f),
+            policy,
+            extent,
+        )
     }
 
     /// Saves the dataset to a CSV file.
@@ -412,7 +376,7 @@ mod tests {
 
 /// Binary dataset format: `SJDS` magic, version, count, then raw
 /// little-endian `f64` quadruples. Loads paper-scale datasets (millions
-/// of MBRs) an order of magnitude faster than CSV.
+/// of MBRs) without parsing text (DESIGN.md §2 compares the two).
 impl Dataset {
     const BIN_MAGIC: [u8; 4] = *b"SJDS";
     const BIN_VERSION: u8 = 1;
@@ -455,7 +419,7 @@ impl Dataset {
         let count = usize::try_from(count).map_err(|_| bad("count overflows usize"))?;
         let mut payload = Vec::new();
         r.read_to_end(&mut payload)?;
-        if payload.len() != count * 32 {
+        if count.checked_mul(32) != Some(payload.len()) {
             return Err(bad("payload size mismatch"));
         }
         let mut rects = Vec::with_capacity(count);
@@ -549,7 +513,7 @@ mod bin_format_tests {
 
     #[test]
     fn bin_file_roundtrip() {
-        let dir = std::env::temp_dir().join("sj_datagen_bin_test");
+        let dir = std::env::temp_dir().join(format!("sj_datagen_bin_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.bin");
         let ds = sample();
@@ -557,7 +521,21 @@ mod bin_format_tests {
         let back = Dataset::load_bin(&path).unwrap();
         assert_eq!(back.name, "sample");
         assert_eq!(back.rects, ds.rects);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A count whose byte size wraps `usize` must not pass the size
+    /// check and reach the allocation: `(2^59 + 1) · 32` wraps to 32.
+    #[test]
+    fn bin_rejects_a_count_whose_size_overflows() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"SJDS");
+        buf.push(1);
+        buf.extend_from_slice(&((1u64 << 59) + 1).to_le_bytes());
+        buf.extend_from_slice(&[0u8; 32]);
+        assert_eq!(buf.len(), 45);
+        let err = Dataset::read_bin("x", &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

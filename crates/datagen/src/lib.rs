@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod csv;
 mod dataset;
 mod distributions;
 mod error;

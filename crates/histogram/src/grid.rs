@@ -121,8 +121,8 @@ impl Grid {
         let n = f64::from(self.cells_per_axis);
         let u = (x - self.extent.rect().xlo) / self.extent.width();
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sj-lint: allow(cast, clamped to [0, n-1] with n <= 2^MAX_LEVEL; NaN maps to 0)
-        let i = (u * n).floor().clamp(0.0, n - 1.0) as u32;
+        // sj-lint: allow(cast, clamped to [0, n-1] with n <= 2^MAX_LEVEL; truncation floors it; NaN maps to 0)
+        let i = (u * n).clamp(0.0, n - 1.0) as u32;
         i
     }
 
@@ -132,8 +132,8 @@ impl Grid {
         let n = f64::from(self.cells_per_axis);
         let u = (y - self.extent.rect().ylo) / self.extent.height();
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sj-lint: allow(cast, clamped to [0, n-1] with n <= 2^MAX_LEVEL; NaN maps to 0)
-        let j = (u * n).floor().clamp(0.0, n - 1.0) as u32;
+        // sj-lint: allow(cast, clamped to [0, n-1] with n <= 2^MAX_LEVEL; truncation floors it; NaN maps to 0)
+        let j = (u * n).clamp(0.0, n - 1.0) as u32;
         j
     }
 

@@ -56,14 +56,46 @@ impl Mass {
     /// The zero mass.
     pub const ZERO: Mass = Mass(0);
 
-    /// Quantizes one `f64` contribution. Multiplying by a power of two is
-    /// exact in `f64` (an exponent shift), so the only inexact step is the
-    /// final round to the 2⁻⁷⁵ grid; `as` saturates out-of-range values
-    /// and maps NaN to zero.
+    /// Quantizes one `f64` contribution: `x · 2⁷⁵` rounded to the nearest
+    /// integer, ties away from zero, saturating at the `i128` extremes,
+    /// with NaN mapped to zero — the value of
+    /// `(x * 2f64.powi(75)).round() as i128`, computed on the bits of `x`
+    /// without a libm `round` or a float-to-`i128` conversion call.
     #[must_use]
     pub fn from_f64(x: f64) -> Self {
-        #[allow(clippy::cast_possible_truncation)]
-        Self((x * 2f64.powi(FRAC_BITS)).round() as i128)
+        let bits = x.to_bits();
+        #[allow(clippy::cast_possible_truncation)] // an 11-bit field
+        let biased = ((bits >> 52) & 0x7FF) as i32;
+        let frac = bits & ((1 << 52) - 1);
+        if biased == 0x7FF && frac != 0 {
+            return Self::ZERO; // NaN
+        }
+        // |x| · 2⁷⁵ = mant · 2^shift; subnormals have exponent 1 and no
+        // implicit bit.
+        let mant = if biased == 0 { frac } else { frac | 1 << 52 };
+        let shift = biased.max(1) - 1075 + FRAC_BITS;
+        let magnitude = if shift >= 0 {
+            // 2¹²⁷ or more, infinity included, saturates.
+            if shift.unsigned_abs() >= 64 + mant.leading_zeros() {
+                return Self(if x.is_sign_negative() {
+                    i128::MIN
+                } else {
+                    i128::MAX
+                });
+            }
+            i128::from(mant) << shift
+        } else if shift > -54 {
+            // Ties away from zero: add half a unit, then truncate.
+            let right = shift.unsigned_abs();
+            i128::from((mant + (1 << (right - 1))) >> right)
+        } else {
+            0 // mant < 2⁵³, so the value is below one half
+        };
+        Self(if x.is_sign_negative() {
+            -magnitude
+        } else {
+            magnitude
+        })
     }
 
     /// The closest `f64` to the exact stored sum.
