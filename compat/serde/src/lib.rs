@@ -55,37 +55,6 @@ impl Value {
         }
     }
 
-    /// Returns the value as an `i64` if it is an in-range integer.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Value::I64(v) => Some(v),
-            Value::U64(v) => i64::try_from(v).ok(),
-            _ => None,
-        }
-    }
-
-    /// Returns the value as an `f64` if it is any number.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        match *self {
-            Value::F64(v) => Some(v),
-            Value::U64(v) => Some(v as f64),
-            Value::I64(v) => Some(v as f64),
-            _ => None,
-        }
-    }
-
-    /// Returns the value as a `bool` if it is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Value::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Returns the value as a string slice if it is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -102,12 +71,6 @@ impl Value {
             Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// `true` for `Value::Null`.
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 }
 
@@ -150,12 +113,6 @@ impl Serialize for Value {
     }
 }
 
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
 macro_rules! serialize_unsigned {
     ($($t:ty),+) => {$(
         impl Serialize for $t {
@@ -166,19 +123,7 @@ macro_rules! serialize_unsigned {
     )+};
 }
 
-macro_rules! serialize_signed {
-    ($($t:ty),+) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = i64::try_from(*self).expect("signed fits i64");
-                u64::try_from(v).map_or(Value::I64(v), Value::U64)
-            }
-        }
-    )+};
-}
-
-serialize_unsigned!(u8, u16, u32, u64, usize);
-serialize_signed!(i8, i16, i32, i64, isize);
+serialize_unsigned!(u32, u64, usize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -187,18 +132,6 @@ impl Serialize for f64 {
         } else {
             Value::Null
         }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        f64::from(*self).to_value()
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
     }
 }
 
@@ -220,18 +153,6 @@ impl Serialize for Duration {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        self.as_ref().map_or(Value::Null, Serialize::to_value)
-    }
-}
-
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -244,12 +165,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,12 +172,9 @@ mod tests {
     #[test]
     fn primitives_map_to_expected_variants() {
         assert_eq!(7u32.to_value(), Value::U64(7));
-        assert_eq!((-3i64).to_value(), Value::I64(-3));
-        assert_eq!(5i32.to_value(), Value::U64(5));
         assert_eq!(0.5f64.to_value(), Value::F64(0.5));
         assert_eq!(f64::NAN.to_value(), Value::Null);
-        assert_eq!("x".to_value(), Value::Str("x".to_string()));
-        assert_eq!(None::<u8>.to_value(), Value::Null);
+        assert_eq!("x".to_string().to_value(), Value::Str("x".to_string()));
     }
 
     #[test]
@@ -280,7 +192,7 @@ mod tests {
         )])]);
         assert_eq!(v.as_array().unwrap().len(), 1);
         assert_eq!(v[0]["k"].as_str(), Some("s"));
-        assert!(v[0]["missing"].is_null());
-        assert!(v[9].is_null());
+        assert_eq!(v[0]["missing"], Value::Null);
+        assert_eq!(v[9], Value::Null);
     }
 }

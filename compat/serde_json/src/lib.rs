@@ -395,10 +395,10 @@ mod tests {
     fn integers_stay_integers() {
         let parsed: Value = from_str("[7, -2, 1.0]").unwrap();
         assert_eq!(parsed[0].as_u64(), Some(7));
-        assert_eq!(parsed[1].as_i64(), Some(-2));
+        assert_eq!(parsed[1], Value::I64(-2));
         assert_eq!(parsed[1].as_u64(), None);
         assert_eq!(parsed[2].as_u64(), None);
-        assert_eq!(parsed[2].as_f64(), Some(1.0));
+        assert_eq!(parsed[2], Value::F64(1.0));
     }
 
     #[test]
@@ -422,7 +422,7 @@ mod tests {
         for &f in &[0.1, 1.0, 1e-12, 123456.789, -0.0625, f64::MAX] {
             let text = to_string(&Value::F64(f)).unwrap();
             let back: Value = from_str(&text).unwrap();
-            assert_eq!(back.as_f64(), Some(f), "text {text}");
+            assert_eq!(back, Value::F64(f), "text {text}");
         }
     }
 }

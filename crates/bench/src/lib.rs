@@ -5,55 +5,26 @@
 //! * `--scale <f64>` — dataset scale relative to the paper cardinalities
 //!   (default 0.2; pass `1.0` for the full-size run recorded in
 //!   EXPERIMENTS.md).
-//! * `--levels <a>..<b>` — histogram gridding levels (default `0..9`,
-//!   the paper's sweep).
+//! * `--levels <a>..<b>` — histogram gridding levels, both ends
+//!   included, `a <= b <= 11` (default `0..9`, the paper's sweep).
 //! * `--out <dir>` — directory for machine-readable JSON results
 //!   (default `results/`).
 //! * `--join <name>` — restrict to one join (`ts-tcb`, `cas-car`,
 //!   `sp-spg`, `scrc-sura`).
 //! * `--threads <n>` — worker threads for context preparation and the
 //!   experiment runners (default: available parallelism).
+//!
+//! A bad value exits 2 before any work starts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sj_core::experiment::JoinContext;
 use sj_core::presets::{self, PaperJoin};
-use sj_core::{parallel_map, Parallelism};
+use sj_core::{parallel_map, Grid, Parallelism};
 use std::fmt::Write as _;
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
-
-/// Top-level sections of `BENCH_5.json`, in serialization order.
-///
-/// `BENCH_<n>.json` naming rule: each PR that adds a perf section bumps
-/// `<n>`, and the new file carries **every prior section forward
-/// unchanged** so reports stay comparable release over release.
-/// `BENCH_3.json` is the one gap on disk: the mutation-path PR pointed
-/// the bench binary at that name (adding `mutation_path`) but never
-/// committed the artifact, and the next PR bumped the default to
-/// `BENCH_4.json` (adding `sync_layer`) — so the number is skipped in
-/// the repo root but not in the schema lineage.
-///
-/// docs/KERNELS.md documents every section; a docs-sync test in this
-/// crate diffs its section table against this list, and the bench
-/// binary asserts at run time that the JSON it writes has exactly these
-/// top-level keys in this order.
-pub const BENCH5_SECTIONS: [&str; 13] = [
-    "bench",
-    "workload",
-    "statistics_build",
-    "cold_cli",
-    "warm_server",
-    "batch",
-    "merge",
-    "speedup_p50",
-    "meets_5x_floor",
-    "delta",
-    "mutation_path",
-    "sync_layer",
-    "kernels",
-];
 
 /// Parsed command-line configuration shared by the harness binaries.
 #[derive(Debug, Clone)]
@@ -83,80 +54,62 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Parses `std::env::args`, exiting with a usage message on error.
+    /// Parses `std::env::args`: prints the usage and exits 0 on
+    /// `--help`, prints the parse error and exits 2 on a bad argument.
     #[must_use]
     pub fn from_args() -> Self {
-        let mut cfg = Self::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let need_value = |i: usize| {
-                args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-                    eprintln!("missing value for {}", args[i]);
-                    std::process::exit(2);
-                })
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses harness arguments (without the program name) over the
+    /// defaults.
+    ///
+    /// # Errors
+    /// Returns the message to print for an unknown argument, a missing
+    /// value, or a value that does not parse — including a `--scale`
+    /// that is not a finite number above 0 and a `--levels` range that
+    /// is empty or reaches past [`Grid::MAX_LEVEL`].
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut cfg = Self::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || {
+                it.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("missing value for {flag}"))
             };
-            match args[i].as_str() {
-                "--scale" => {
-                    cfg.scale = need_value(i).parse().unwrap_or_else(|e| {
-                        eprintln!("bad --scale: {e}");
-                        std::process::exit(2);
-                    });
-                    i += 2;
-                }
-                "--levels" => {
-                    let v = need_value(i);
-                    let Some((a, b)) = v.split_once("..") else {
-                        eprintln!("bad --levels (expected a..b): {v}");
-                        std::process::exit(2);
-                    };
-                    let lo: u32 = a.parse().unwrap_or(0);
-                    let hi: u32 = b.trim_start_matches('=').parse().unwrap_or(9);
-                    cfg.levels = lo..=hi;
-                    i += 2;
-                }
-                "--out" => {
-                    cfg.out_dir = PathBuf::from(need_value(i));
-                    i += 2;
-                }
+            match flag.as_str() {
+                "--scale" => cfg.scale = parse_scale(value()?)?,
+                "--levels" => cfg.levels = parse_levels(value()?)?,
+                "--out" => cfg.out_dir = PathBuf::from(value()?),
                 "--join" => {
-                    cfg.joins = vec![match need_value(i) {
+                    cfg.joins = vec![match value()? {
                         "ts-tcb" => PaperJoin::TsTcb,
                         "cas-car" => PaperJoin::CasCar,
                         "sp-spg" => PaperJoin::SpSpg,
                         "scrc-sura" => PaperJoin::ScrcSura,
-                        other => {
-                            eprintln!("unknown join {other}");
-                            std::process::exit(2);
-                        }
+                        other => return Err(format!("unknown join {other}")),
                     }];
-                    i += 2;
                 }
                 "--threads" => {
-                    let n: usize = need_value(i).parse().unwrap_or_else(|e| {
-                        eprintln!("bad --threads: {e}");
-                        std::process::exit(2);
-                    });
-                    cfg.parallelism = Parallelism::try_new(n).unwrap_or_else(|e| {
-                        eprintln!("bad --threads: {e}");
-                        std::process::exit(2);
-                    });
-                    i += 2;
+                    let n: usize = value()?
+                        .parse()
+                        .map_err(|e| format!("bad --threads: {e}"))?;
+                    cfg.parallelism =
+                        Parallelism::try_new(n).map_err(|e| format!("bad --threads: {e}"))?;
                 }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--scale F] [--levels A..B] [--out DIR] \
-                         [--join ts-tcb|cas-car|sp-spg|scrc-sura] [--threads N]"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown argument {other}");
-                    std::process::exit(2);
-                }
+                other => return Err(format!("unknown argument {other}")),
             }
         }
-        cfg
+        Ok(cfg)
     }
 
     /// Prepares the configured joins in parallel (each needs a full exact
@@ -178,6 +131,44 @@ impl HarnessConfig {
         std::fs::write(&path, json).expect("write results file");
         println!("\nwrote {}", path.display());
     }
+}
+
+/// Usage line printed by `--help`.
+const USAGE: &str = "usage: [--scale F] [--levels A..B] [--out DIR] \
+                     [--join ts-tcb|cas-car|sp-spg|scrc-sura] [--threads N]";
+
+/// Parses a dataset scale: a finite number above zero. The presets
+/// reject anything else with a panic mid-run.
+fn parse_scale(v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        Ok(_) => Err(format!(
+            "bad --scale {v:?}: must be a finite number above 0"
+        )),
+        Err(e) => Err(format!("bad --scale {v:?}: {e}")),
+    }
+}
+
+/// Parses `A..B` (or `A..=B`) as the inclusive level range `A..=B`.
+/// Both ends must be level numbers, `A <= B` and `B <=`
+/// [`Grid::MAX_LEVEL`]: an empty sweep would print no rows and exit 0,
+/// hiding the typo, and a level past the maximum would panic mid-run.
+fn parse_levels(v: &str) -> Result<RangeInclusive<u32>, String> {
+    let bad = |why: &str| format!("bad --levels {v:?} (expected A..B with A <= B): {why}");
+    let (a, b) = v.split_once("..").ok_or_else(|| bad("no `..`"))?;
+    let lo: u32 = a.parse().map_err(|e| bad(&format!("low end: {e}")))?;
+    let hi: u32 = b
+        .strip_prefix('=')
+        .unwrap_or(b)
+        .parse()
+        .map_err(|e| bad(&format!("high end: {e}")))?;
+    if lo > hi {
+        return Err(bad("empty range"));
+    }
+    if hi > Grid::MAX_LEVEL {
+        return Err(bad(&format!("levels stop at {}", Grid::MAX_LEVEL)));
+    }
+    Ok(lo..=hi)
 }
 
 /// Renders an aligned text table: `headers` then `rows`, every row the
@@ -292,6 +283,68 @@ mod tests {
         let cfg = HarnessConfig::default();
         assert_eq!(cfg.joins.len(), 4);
         assert_eq!(cfg.levels, 0..=9);
+    }
+
+    fn args(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let cfg = HarnessConfig::parse(&args(&[
+            "--scale",
+            "0.5",
+            "--levels",
+            "2..=4",
+            "--out",
+            "o",
+            "--join",
+            "sp-spg",
+            "--threads",
+            "3",
+        ]))
+        .unwrap();
+        assert_eq!(cfg.scale, 0.5);
+        assert_eq!(cfg.levels, 2..=4);
+        assert_eq!(cfg.out_dir, PathBuf::from("o"));
+        assert_eq!(cfg.joins, vec![PaperJoin::SpSpg]);
+        assert_eq!(cfg.parallelism.threads(), 3);
+        assert_eq!(
+            HarnessConfig::parse(&args(&["--levels", "3..5"]))
+                .unwrap()
+                .levels,
+            3..=5
+        );
+        assert_eq!(
+            HarnessConfig::parse(&args(&["--levels", "4..4"]))
+                .unwrap()
+                .levels,
+            4..=4
+        );
+    }
+
+    #[test]
+    fn parse_rejects_bad_levels_and_arguments() {
+        for bad in [
+            "3..x", "x..5", "8..3", "..5", "3..", "3-5", "3..=x", "9..12",
+        ] {
+            let err = HarnessConfig::parse(&args(&["--levels", bad])).unwrap_err();
+            assert!(err.contains("bad --levels"), "{bad}: {err}");
+        }
+        for bad in [
+            &["--scale", "abc"][..],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale", "nan"],
+            &["--scale", "inf"],
+            &["--scale"],
+            &["--threads", "0"],
+            &["--join", "nope"],
+            &["--bogus"],
+        ] {
+            assert!(HarnessConfig::parse(&args(bad)).is_err(), "{bad:?}");
+        }
+        assert_eq!(HarnessConfig::parse(&[]).unwrap().levels, 0..=9);
     }
 
     #[test]

@@ -128,8 +128,8 @@ impl GhBasicHistogram {
     /// The retained scalar reference loop of
     /// [`Self::intersection_points`]: iterates every cell of the dense
     /// count vectors directly. Kept (and exercised by the
-    /// `kernel_agreement` test plus the BENCH_5 `kernels` section) as the
-    /// oracle the kernel path must match bit-for-bit.
+    /// `kernel_agreement` test) as the oracle the kernel path must match
+    /// bit-for-bit.
     ///
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
@@ -438,9 +438,10 @@ impl GhHistogram {
     /// The retained scalar reference loop of
     /// [`Self::intersection_points`]: iterates every cell of the dense
     /// mass vectors directly, decoding the fixed-point masses on the fly.
-    /// Kept (and exercised by the `kernel_agreement` test plus the
-    /// BENCH_5 `kernels` section) as the oracle the kernel path must
-    /// match bit-for-bit.
+    /// Kept (and exercised by the `kernel_agreement` test) as the oracle
+    /// the kernel path must match bit-for-bit; `sj-bench`'s kernel timing
+    /// gate (`tests/perf_gates.rs`) also times [`Self::estimate_scalar`]
+    /// against the kernel path.
     ///
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.

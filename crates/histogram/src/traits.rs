@@ -12,9 +12,8 @@
 //!
 //! Persistence wraps each family's native byte format in a small
 //! versioned envelope so a single [`load_histogram`] call can revive any
-//! kind; [`persist_json`] offers the same envelope as a JSON document for
-//! text-based pipelines. The current (version 2) binary envelope is
-//! length-framed and checksummed:
+//! kind. The current (version 2) envelope is length-framed and
+//! checksummed:
 //!
 //! ```text
 //! magic u32 | version u32 | kind tag u32 | payload_len u64 | payload | crc32 u32
@@ -24,8 +23,6 @@
 //! bit-flips surface as typed [`HistogramError::Corrupt`] values instead
 //! of panics or silently-wrong statistics. Version 1 envelopes (no frame,
 //! no checksum) still load through a legacy fallback.
-//!
-//! [`persist_json`]: SpatialHistogram::persist_json
 
 use crate::band::RowBanded;
 use crate::crc::crc32;
@@ -45,8 +42,6 @@ const ENVELOPE_MAGIC: u32 = 0x534a_5348; // "SJSH"
 const ENVELOPE_VERSION: u32 = 2;
 /// The pre-checksum envelope layout (magic, version, tag, payload).
 const LEGACY_ENVELOPE_VERSION: u32 = 1;
-/// `format` field value of the JSON envelope.
-const JSON_FORMAT: &str = "sjsel-histogram";
 
 /// Identifies one of the four histogram families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -248,17 +243,6 @@ pub trait SpatialHistogram: std::fmt::Debug + Send + Sync {
         let checksum = crc32(&buf);
         buf.put_u32_le(checksum);
         buf.freeze()
-    }
-
-    /// Serializes into a versioned JSON envelope decodable by
-    /// [`load_histogram_json`]. The native payload travels hex-encoded.
-    fn persist_json(&self) -> String {
-        format!(
-            "{{\"format\":\"{JSON_FORMAT}\",\"version\":{ENVELOPE_VERSION},\
-             \"kind\":\"{}\",\"payload_hex\":\"{}\"}}",
-            self.kind().name(),
-            hex_encode(&self.to_bytes())
-        )
     }
 }
 
@@ -499,85 +483,6 @@ pub fn load_histogram(full: &[u8]) -> Result<Box<dyn SpatialHistogram>, Histogra
     }
 }
 
-/// Decodes a histogram of any kind from the JSON envelope written by
-/// [`SpatialHistogram::persist_json`].
-///
-/// # Errors
-/// Returns [`HistogramError::Corrupt`] on malformed input, a bad version,
-/// or an unknown kind name.
-pub fn load_histogram_json(json: &str) -> Result<Box<dyn SpatialHistogram>, HistogramError> {
-    let corrupt = |m: &str| HistogramError::corrupt(CorruptSection::Envelope, m);
-    let format = json_string_field(json, "format").ok_or_else(|| corrupt("missing format"))?;
-    if format != JSON_FORMAT {
-        return Err(HistogramError::corrupt(
-            CorruptSection::Envelope,
-            format!("unrecognized format {format:?}"),
-        ));
-    }
-    let version = json_u64_field(json, "version").ok_or_else(|| corrupt("missing version"))?;
-    if version != u64::from(ENVELOPE_VERSION) && version != u64::from(LEGACY_ENVELOPE_VERSION) {
-        return Err(HistogramError::corrupt(
-            CorruptSection::Envelope,
-            format!("unsupported envelope version {version}"),
-        ));
-    }
-    let kind: HistogramKind = json_string_field(json, "kind")
-        .ok_or_else(|| corrupt("missing kind"))?
-        .parse()?;
-    let payload = hex_decode(
-        json_string_field(json, "payload_hex").ok_or_else(|| corrupt("missing payload_hex"))?,
-    )?;
-    load_payload(kind, &payload)
-}
-
-/// Extracts the string value of `"field":"…"` from the flat JSON envelope
-/// (the values this format writes never contain escapes).
-fn json_string_field<'a>(json: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\":\"");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Extracts the numeric value of `"field":N` from the flat JSON envelope.
-fn json_u64_field(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let start = json.find(&needle)? + needle.len();
-    let digits: String = json[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Lowercase hex encoding of `data`.
-fn hex_encode(data: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(data.len() * 2);
-    for b in data {
-        out.push(DIGITS[usize::from(b >> 4)] as char);
-        out.push(DIGITS[usize::from(b & 0x0f)] as char);
-    }
-    out
-}
-
-/// Inverse of [`hex_encode`].
-fn hex_decode(s: &str) -> Result<Vec<u8>, HistogramError> {
-    let corrupt = |m: &str| HistogramError::corrupt(CorruptSection::Envelope, m);
-    if !s.len().is_multiple_of(2) || !s.is_ascii() {
-        return Err(corrupt("payload_hex must be an even-length hex string"));
-    }
-    s.as_bytes()
-        .chunks(2)
-        .map(|pair| {
-            std::str::from_utf8(pair)
-                .ok()
-                .and_then(|digits| u8::from_str_radix(digits, 16).ok())
-                .ok_or_else(|| corrupt("invalid hex digit in payload_hex"))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,10 +540,6 @@ mod tests {
                 expected,
                 "{kind}: identical estimates after reload"
             );
-
-            let back = load_histogram_json(&ha.persist_json()).unwrap();
-            assert_eq!(back.kind(), kind);
-            assert_eq!(back.to_bytes(), ha.to_bytes(), "{kind}: JSON lossless");
         }
     }
 
@@ -679,11 +580,6 @@ mod tests {
                 ..
             })
         ));
-        // JSON with the wrong format marker or broken hex.
-        assert!(load_histogram_json("{\"format\":\"other\"}").is_err());
-        let json = h.persist_json();
-        assert!(load_histogram_json(&json.replace("sjsel-histogram", "x")).is_err());
-        assert!(load_histogram_json(&json.replace("\"version\":2", "\"version\":9")).is_err());
     }
 
     /// Version-1 envelopes (no length frame, no CRC) predate this layout

@@ -266,25 +266,111 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// counter, so verifier runs that share a process (parallel unit tests,
 /// say) never share — and `remove_dir_all` — each other's stores. A
 /// stale directory left at the path by an earlier process is removed.
+///
+/// Callers that cannot remove their directory when they finish (a test
+/// binary that keeps one in a static for its whole run) would leak one
+/// per process, so each call first sweeps the `<prefix>-<pid>-<n>`
+/// siblings whose process has exited: a run leaves at most its own
+/// directories behind, and the next run with the same prefix removes
+/// them.
 #[must_use]
 pub fn unique_scratch_dir(prefix: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
     // sj-lint: allow(atomic-ordering, the counter only makes directory names unique; no other memory is published through it)
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
+    let tmp = std::env::temp_dir();
+    sweep_exited(&tmp, prefix);
+    let dir = tmp.join(format!("{prefix}-{}-{n}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }
 
+/// Removes the [`unique_scratch_dir`] directories of `prefix` under
+/// `tmp` whose owning process no longer runs. Liveness is read from
+/// `/proc/<pid>`; on a host without `/proc` nothing is swept, since no
+/// directory can be proven abandoned there.
+fn sweep_exited(tmp: &Path, prefix: &str) {
+    let proc_root = Path::new("/proc");
+    if !proc_root.join("self").is_dir() {
+        return;
+    }
+    let Ok(entries) = fs::read_dir(tmp) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(pid) = name.to_str().and_then(|n| scratch_owner(n, prefix)) else {
+            continue;
+        };
+        if pid != std::process::id() && !proc_root.join(pid.to_string()).exists() {
+            let _ = fs::remove_dir_all(entry.path());
+        }
+    }
+}
+
+/// The owning pid of a `<prefix>-<pid>-<n>` directory name, or `None`
+/// when `name` is not one of `prefix`'s scratch directories.
+fn scratch_owner(name: &str, prefix: &str) -> Option<u32> {
+    let (pid, n) = name
+        .strip_prefix(prefix)?
+        .strip_prefix('-')?
+        .split_once('-')?;
+    if n.is_empty() || !n.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    pid.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
-    use super::unique_scratch_dir;
+    use super::{scratch_owner, unique_scratch_dir};
 
     #[test]
     fn scratch_dirs_are_unique_per_call() {
         let a = unique_scratch_dir("sj-lint-scratch");
         let b = unique_scratch_dir("sj-lint-scratch");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn scratch_owner_parses_only_this_prefixs_directories() {
+        assert_eq!(scratch_owner("sjsel_tests-42-0", "sjsel_tests"), Some(42));
+        assert_eq!(scratch_owner("sjsel_tests-42-17", "sjsel_tests"), Some(42));
+        for other in [
+            "sjsel_tests",
+            "sjsel_tests-42",
+            "sjsel_tests-42-",
+            "sjsel_tests-x-0",
+            "sjsel_tests-42-0x",
+            "sjsel_tests_more-42-0",
+            "sjsel_format_tests-42-0",
+        ] {
+            assert_eq!(scratch_owner(other, "sjsel_tests"), None, "{other}");
+        }
+        // A longer prefix sharing this one's text is not this prefix's.
+        assert_eq!(
+            scratch_owner("sj-verify-recovery-a-b-42-0", "sj-verify-recovery-a"),
+            None
+        );
+    }
+
+    #[test]
+    fn exited_owners_are_swept_and_live_ones_kept() {
+        if !std::path::Path::new("/proc/self").is_dir() {
+            return;
+        }
+        let prefix = format!("sj-lint-sweep-{}", std::process::id());
+        let tmp = std::env::temp_dir();
+        // pid_max is at most 2^22 on Linux, so this pid never runs.
+        let exited = tmp.join(format!("{prefix}-{}-0", u32::MAX));
+        std::fs::create_dir_all(&exited).unwrap();
+        let live = unique_scratch_dir(&prefix);
+        std::fs::create_dir_all(&live).unwrap();
+        assert!(!exited.exists(), "an exited owner's directory is swept");
+        let again = unique_scratch_dir(&prefix);
+        assert!(live.exists(), "a running owner's directory is kept");
+        let _ = std::fs::remove_dir_all(&live);
+        let _ = std::fs::remove_dir_all(&again);
     }
 }
